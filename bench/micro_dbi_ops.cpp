@@ -134,9 +134,9 @@ const std::vector<Micro> kMicros = {
              for (std::uint64_t it = 0; it < n; ++it) {
                  int dirty = 0;
                  for (std::uint32_t i = 0; i < 128; ++i) {
-                     const auto *e =
+                     TagStore::Slot s =
                          tags.find(static_cast<Addr>(i) * kBlockBytes);
-                     if (e && e->dirty) {
+                     if (s != TagStore::kNoSlot && tags.dirtyAt(s)) {
                          ++dirty;
                      }
                  }

@@ -81,12 +81,9 @@ InvariantAuditor::mechanismDirtyBlocks() const
         return blocks;
     }
     const TagStore &tags = subject.tags();
-    for (std::uint32_t s = 0; s < tags.numSets(); ++s) {
-        for (std::uint32_t w = 0; w < tags.assoc(); ++w) {
-            const TagStore::Entry &e = tags.entryAt(s, w);
-            if (e.valid && e.dirty) {
-                blocks.push_back(e.block);
-            }
+    for (TagStore::Slot s = 0; s < tags.numBlocks(); ++s) {
+        if (tags.validAt(s) && tags.dirtyAt(s)) {
+            blocks.push_back(tags.blockAt(s));
         }
     }
     return blocks;
@@ -152,9 +149,9 @@ InvariantAuditor::checkNow()
             std::uint32_t s = sweepCursor;
             sweepCursor = (sweepCursor + 1) % tags.numSets();
             for (std::uint32_t w = 0; w < tags.assoc(); ++w) {
-                if (tags.entryAt(s, w).dirty) {
+                if (tags.dirtyAt(tags.slotOf(s, w))) {
                     fail("tag store of a DBI cache carries dirty bits",
-                         tags.entryAt(s, w).block);
+                         tags.blockAt(tags.slotOf(s, w)));
                 }
             }
         }

@@ -17,11 +17,22 @@ TagStore::TagStore(const CacheGeometry &geometry)
                          kBlockBytes);
     fatal_if(!isPowerOf2(sets), "set count must be a power of two");
     nSets = static_cast<std::uint32_t>(sets);
-    entries.resize(static_cast<std::size_t>(nSets) * geo.assoc);
-    tags.assign(entries.size(), kInvalidAddr);
-    touches.assign(entries.size(), 0);
     fatal_if(geo.numThreads == 0, "need at least one thread");
     psel.assign(geo.numThreads, kPselInit);
+
+    // One slab, not three arrays: see DESIGN.md §11.2 for the measured
+    // setup-time cost of separate allocations.
+    const std::size_t n = numBlocks();
+    constexpr std::size_t kBytesPerBlock =
+        sizeof(Addr) + sizeof(std::uint64_t) + sizeof(Meta);
+    static_assert(kBytesPerBlock == 18);
+    slab.reset(new std::byte[n * kBytesPerBlock]);
+    tags = reinterpret_cast<Addr *>(slab.get());
+    touches = reinterpret_cast<std::uint64_t *>(tags + n);
+    meta = reinterpret_cast<Meta *>(touches + n);
+    std::uninitialized_fill_n(tags, n, kInvalidAddr);
+    std::uninitialized_fill_n(touches, n, std::uint64_t{0});
+    std::uninitialized_fill_n(meta, n, Meta{});
 }
 
 std::uint32_t
@@ -31,60 +42,33 @@ TagStore::setIndex(Addr block_addr) const
                                       (nSets - 1));
 }
 
-TagStore::Entry &
-TagStore::at(std::uint32_t set, std::uint32_t way)
-{
-    return entries[static_cast<std::size_t>(set) * geo.assoc + way];
-}
-
-const TagStore::Entry &
-TagStore::at(std::uint32_t set, std::uint32_t way) const
-{
-    return entries[static_cast<std::size_t>(set) * geo.assoc + way];
-}
-
-bool
-TagStore::contains(Addr block_addr) const
-{
-    return find(block_addr) != nullptr;
-}
-
-TagStore::Entry *
-TagStore::find(Addr block_addr)
-{
-    Addr a = blockAlign(block_addr);
-    std::size_t base =
-        static_cast<std::size_t>(setIndex(a)) * geo.assoc;
-    const Addr *set_tags = tags.data() + base;
-    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        if (set_tags[w] == a) {
-            return &entries[base + w];
-        }
-    }
-    return nullptr;
-}
-
-const TagStore::Entry *
+TagStore::Slot
 TagStore::find(Addr block_addr) const
 {
-    return const_cast<TagStore *>(this)->find(block_addr);
+    Addr a = blockAlign(block_addr);
+    Slot base = slotOf(setIndex(a), 0);
+    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
+        if (tags[base + w] == a) {
+            return base + w;
+        }
+    }
+    return kNoSlot;
 }
 
 void
 TagStore::touch(Addr block_addr, std::uint32_t thread)
 {
     (void)thread;
-    Entry *e = find(block_addr);
-    panic_if(!e, "touch of absent block");
-    touchEntry(*e);
+    Slot s = find(block_addr);
+    panic_if(s == kNoSlot, "touch of absent block");
+    touchSlot(s);
 }
 
 void
-TagStore::touchEntry(Entry &e)
+TagStore::touchSlot(Slot s)
 {
-    e.lastTouch = touchClock++;
-    e.rrpv = 0;  // near-immediate re-reference on hit (RRIP hit promotion)
-    touches[static_cast<std::size_t>(&e - entries.data())] = e.lastTouch;
+    touches[s] = touchClock++;
+    meta[s].rrpv = 0;  // RRIP hit promotion: near-immediate re-reference
     ++statHits;
 }
 
@@ -138,24 +122,24 @@ TagStore::victimWay(std::uint32_t set)
         return static_cast<std::uint32_t>(rng.below(geo.assoc));
       case ReplPolicy::Drrip: {
         // Find an RRPV==max entry, aging the set until one appears.
+        Meta *set_meta = meta + slotOf(set, 0);
         for (;;) {
             for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-                if (at(set, w).rrpv >= kRrpvMax) {
+                if (set_meta[w].rrpv >= kRrpvMax) {
                     return w;
                 }
             }
             for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-                ++at(set, w).rrpv;
+                ++set_meta[w].rrpv;
             }
         }
       }
       case ReplPolicy::Lru:
       case ReplPolicy::TaDip:
       default: {
-        // First-minimum in way order over the dense touch mirror (the
-        // tie-break matters: BIP inserts park at lastTouch == 0).
-        const std::uint64_t *set_touches =
-            touches.data() + static_cast<std::size_t>(set) * geo.assoc;
+        // First-minimum in way order (the tie-break matters: BIP
+        // inserts park at touch time 0).
+        const std::uint64_t *set_touches = touches + slotOf(set, 0);
         std::uint32_t victim = 0;
         std::uint64_t oldest = kCycleMax;
         for (std::uint32_t w = 0; w < geo.assoc; ++w) {
@@ -179,9 +163,10 @@ TagStore::insert(Addr block_addr, std::uint32_t thread, bool dirty)
     ++statInsertions;
 
     std::uint32_t set = setIndex(a);
+    Slot base = slotOf(set, 0);
     std::uint32_t way = geo.assoc;
     for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        if (!at(set, w).valid) {
+        if (tags[base + w] == kInvalidAddr) {
             way = w;
             break;
         }
@@ -190,20 +175,16 @@ TagStore::insert(Addr block_addr, std::uint32_t thread, bool dirty)
     Eviction ev;
     if (way == geo.assoc) {
         way = victimWay(set);
-        Entry &v = at(set, way);
-        ev.valid = true;
-        ev.block = v.block;
-        ev.dirty = v.dirty;
+        ev = Eviction{true, tags[base + way], meta[base + way].dirty};
         ++statEvictions;
     }
 
-    Entry &e = at(set, way);
-    nDirty -= static_cast<std::uint64_t>(e.dirty);
+    Slot s = base + way;
+    Meta &m = meta[s];
+    nDirty -= static_cast<std::uint64_t>(m.dirty);
     nDirty += static_cast<std::uint64_t>(dirty);
-    e.block = a;
-    e.valid = true;
-    e.dirty = dirty;
-    e.owner = static_cast<std::uint8_t>(thread);
+    tags[s] = a;
+    m.dirty = dirty;
 
     bool bimodal = useBimodal(set, thread);
     lastBimodal = false;
@@ -211,113 +192,95 @@ TagStore::insert(Addr block_addr, std::uint32_t thread, bool dirty)
       case ReplPolicy::TaDip:
         if (bimodal && !rng.chance(kBipEpsilon)) {
             // BIP: insert at LRU position (touch time 0 = oldest).
-            e.lastTouch = 0;
+            touches[s] = 0;
             lastBimodal = true;
         } else {
-            e.lastTouch = touchClock++;
+            touches[s] = touchClock++;
         }
-        e.rrpv = kRrpvMax - 1;
+        m.rrpv = kRrpvMax - 1;
         break;
       case ReplPolicy::Drrip:
         if (bimodal && !rng.chance(kBrripEpsilon)) {
-            e.rrpv = kRrpvMax;  // BRRIP: distant re-reference
+            m.rrpv = kRrpvMax;  // BRRIP: distant re-reference
             lastBimodal = true;
         } else {
-            e.rrpv = kRrpvMax - 1;  // SRRIP: long re-reference
+            m.rrpv = kRrpvMax - 1;  // SRRIP: long re-reference
         }
-        e.lastTouch = touchClock++;
+        touches[s] = touchClock++;
         break;
       case ReplPolicy::Lru:
       case ReplPolicy::Random:
       default:
-        e.lastTouch = touchClock++;
-        e.rrpv = kRrpvMax - 1;
+        touches[s] = touchClock++;
+        m.rrpv = kRrpvMax - 1;
         break;
     }
-    std::size_t idx = static_cast<std::size_t>(set) * geo.assoc + way;
-    tags[idx] = a;
-    touches[idx] = e.lastTouch;
     return ev;
 }
 
 void
 TagStore::invalidate(Addr block_addr)
 {
-    Entry *e = find(block_addr);
-    if (e) {
-        nDirty -= static_cast<std::uint64_t>(e->dirty);
-        e->valid = false;
-        e->block = kInvalidAddr;
-        e->dirty = false;
-        std::size_t idx = static_cast<std::size_t>(e - entries.data());
-        tags[idx] = kInvalidAddr;
-        touches[idx] = e->lastTouch;
+    Slot s = find(block_addr);
+    if (s != kNoSlot) {
+        setSlotDirty(s, false);
+        tags[s] = kInvalidAddr;
     }
 }
 
 void
 TagStore::markDirty(Addr block_addr)
 {
-    Entry *e = find(block_addr);
-    panic_if(!e, "markDirty of absent block");
-    setEntryDirty(*e, true);
+    Slot s = find(block_addr);
+    panic_if(s == kNoSlot, "markDirty of absent block");
+    setSlotDirty(s, true);
 }
 
 void
 TagStore::markClean(Addr block_addr)
 {
-    Entry *e = find(block_addr);
-    panic_if(!e, "markClean of absent block");
-    setEntryDirty(*e, false);
+    Slot s = find(block_addr);
+    panic_if(s == kNoSlot, "markClean of absent block");
+    setSlotDirty(s, false);
 }
 
 bool
 TagStore::isDirty(Addr block_addr) const
 {
-    const Entry *e = find(block_addr);
-    panic_if(!e, "isDirty of absent block");
-    return e->dirty;
+    Slot s = find(block_addr);
+    panic_if(s == kNoSlot, "isDirty of absent block");
+    return meta[s].dirty;
+}
+
+std::uint32_t
+TagStore::olderInSet(Slot s) const
+{
+    Slot base = s - s % geo.assoc;
+    std::uint32_t older = 0;
+    for (Slot o = base; o < base + geo.assoc; ++o) {
+        if (tags[o] != kInvalidAddr && touches[o] < touches[s]) {
+            ++older;
+        }
+    }
+    return older;
 }
 
 std::uint32_t
 TagStore::lruRank(Addr block_addr) const
 {
-    const Entry *e = find(block_addr);
-    panic_if(!e, "lruRank of absent block");
-    std::uint32_t set = setIndex(blockAlign(block_addr));
-    std::uint32_t rank = 0;
-    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        const Entry &o = at(set, w);
-        if (o.valid && &o != e && o.lastTouch < e->lastTouch) {
-            ++rank;
-        }
-    }
-    return rank;
+    Slot s = find(block_addr);
+    panic_if(s == kNoSlot, "lruRank of absent block");
+    return olderInSet(s);
 }
 
 bool
 TagStore::anyDirtyInLruWays(std::uint32_t set, std::uint32_t ways) const
 {
-    // Collect touch times of valid entries and find the cutoff for the
-    // `ways` least-recently-used ones.
-    std::vector<std::uint64_t> touches;
-    touches.reserve(geo.assoc);
-    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        if (at(set, w).valid) {
-            touches.push_back(at(set, w).lastTouch);
-        }
-    }
-    if (touches.empty()) {
-        return false;
-    }
-    std::uint32_t n = std::min<std::uint32_t>(
-        ways, static_cast<std::uint32_t>(touches.size()));
-    std::nth_element(touches.begin(), touches.begin() + (n - 1),
-                     touches.end());
-    std::uint64_t cutoff = touches[n - 1];
-    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        const Entry &e = at(set, w);
-        if (e.valid && e.dirty && e.lastTouch <= cutoff) {
+    // A valid block is within the `ways` LRU-most (ties sharing a
+    // position) iff fewer than `ways` valid blocks are older than it.
+    Slot base = slotOf(set, 0);
+    for (Slot s = base; s < base + geo.assoc; ++s) {
+        if (meta[s].dirty && olderInSet(s) < ways) {
             return true;
         }
     }

@@ -14,7 +14,9 @@
 #ifndef DBSIM_CACHE_TAG_STORE_HH
 #define DBSIM_CACHE_TAG_STORE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -45,21 +47,14 @@ struct CacheGeometry
 /**
  * Set-associative tag store. Data contents are not stored — dbsim is a
  * timing simulator — but the full state needed for replacement and
- * dirtiness decisions is.
+ * dirtiness decisions is, exactly once per block (DESIGN.md §11.2).
  */
 class TagStore
 {
   public:
-    /** One tag entry. */
-    struct Entry
-    {
-        Addr block = kInvalidAddr;  ///< aligned block address
-        bool valid = false;
-        bool dirty = false;
-        std::uint8_t owner = 0;     ///< inserting thread
-        std::uint64_t lastTouch = 0;
-        std::uint8_t rrpv = 0;      ///< DRRIP re-reference value
-    };
+    /** One way of one set: set * assoc() + way. */
+    using Slot = std::size_t;
+    static constexpr Slot kNoSlot = ~Slot{0};
 
     /** Result of an insertion: the displaced entry, if any. */
     struct Eviction
@@ -82,21 +77,35 @@ class TagStore
     std::uint32_t setIndex(Addr block_addr) const;
 
     /** True if the block is present (no replacement-state update). */
-    bool contains(Addr block_addr) const;
+    bool contains(Addr block_addr) const
+    {
+        return find(block_addr) != kNoSlot;
+    }
 
-    /** Pointer to the entry holding block_addr, or nullptr. */
-    Entry *find(Addr block_addr);
-    const Entry *find(Addr block_addr) const;
+    /** Slot holding block_addr, or kNoSlot. */
+    Slot find(Addr block_addr) const;
+
+    Slot slotOf(std::uint32_t set, std::uint32_t way) const
+    {
+        return static_cast<Slot>(set) * geo.assoc + way;
+    }
+
+    /**
+     * Per-slot state, for sweeps and audits: an invalid slot reads
+     * blockAt() == kInvalidAddr and dirtyAt() == false.
+     */
+    Addr blockAt(Slot s) const { return tags[s]; }
+    bool validAt(Slot s) const { return tags[s] != kInvalidAddr; }
+    bool dirtyAt(Slot s) const { return meta[s].dirty; }
 
     /** Promote on hit (updates LRU / RRPV state). */
     void touch(Addr block_addr, std::uint32_t thread);
 
     /**
-     * Promote an entry already located via find() — same effect as
-     * touch() without re-scanning the set. @pre e is valid and was
-     * returned by find() on this store.
+     * Promote a slot already located via find() — same effect as
+     * touch() without re-scanning the set. @pre the slot is valid.
      */
-    void touchEntry(Entry &e);
+    void touchSlot(Slot s);
 
     /**
      * Insert a block, selecting and displacing a victim if the set is
@@ -114,16 +123,14 @@ class TagStore
     void markClean(Addr block_addr);
 
     /**
-     * Set the dirty bit of an entry located via find(), keeping the
-     * store's dirty count coherent. All dirty-bit writes outside the
-     * store must go through this (a raw `e->dirty = x` would desync
-     * countDirty()). @pre e was returned by find() on this store.
+     * Set the dirty bit of a slot located via find(), keeping the
+     * store's dirty count coherent. @pre the slot is valid.
      */
-    void setEntryDirty(Entry &e, bool dirty)
+    void setSlotDirty(Slot s, bool dirty)
     {
         nDirty += static_cast<std::uint64_t>(dirty);
-        nDirty -= static_cast<std::uint64_t>(e.dirty);
-        e.dirty = dirty;
+        nDirty -= static_cast<std::uint64_t>(meta[s].dirty);
+        meta[s].dirty = dirty;
     }
 
     /** Dirty bit of a resident block. @pre block present. */
@@ -138,16 +145,10 @@ class TagStore
     /** True if any entry within the `ways` LRU-most ways is dirty. */
     bool anyDirtyInLruWays(std::uint32_t set, std::uint32_t ways) const;
 
-    /** Read-only access to one way of one set (for sweeps and tests). */
-    const Entry &entryAt(std::uint32_t set, std::uint32_t way) const
-    {
-        return at(set, way);
-    }
-
     /**
      * Count of valid dirty entries. O(1): maintained incrementally at
      * every dirty-bit transition (the auditor cross-checks it against
-     * the authoritative per-entry bits every audit interval).
+     * the authoritative per-slot bits every audit interval).
      */
     std::uint64_t countDirty() const { return nDirty; }
 
@@ -160,9 +161,15 @@ class TagStore
     Counter statEvictions;
 
   private:
-    /** Entries of one set start at set * assoc. */
-    Entry &at(std::uint32_t set, std::uint32_t way);
-    const Entry &at(std::uint32_t set, std::uint32_t way) const;
+    /** Per-slot state that lookups never read. */
+    struct Meta
+    {
+        bool dirty = false;
+        std::uint8_t rrpv = 0;  ///< DRRIP re-reference value
+    };
+
+    /** Valid slots of s's set whose last touch is older than s's. */
+    std::uint32_t olderInSet(Slot s) const;
 
     /** Victim way in a full set, per the replacement policy. */
     std::uint32_t victimWay(std::uint32_t set);
@@ -176,18 +183,17 @@ class TagStore
 
     CacheGeometry geo;
     std::uint32_t nSets;
-    std::vector<Entry> entries;
 
     /**
-     * Structure-of-arrays mirrors of the per-entry fields the hot paths
-     * scan: `tags[i]` is entries[i].block for valid entries and
-     * kInvalidAddr otherwise (so find() is one branchless compare per
-     * way over a dense array instead of striding 32-byte Entry structs),
-     * and `touches[i]` mirrors entries[i].lastTouch for the LRU victim
-     * scan. entries[] stays authoritative; these are write-through.
+     * The only copy of each block's state, carved from one allocation:
+     * `tags[i]` (block address, kInvalidAddr = invalid) is all find()
+     * scans, `touches[i]` (last-touch clock) is all the LRU victim scan
+     * reads, and `meta[i]` holds the rest — 18 bytes per block.
      */
-    std::vector<Addr> tags;
-    std::vector<std::uint64_t> touches;
+    std::unique_ptr<std::byte[]> slab;
+    Addr *tags = nullptr;
+    std::uint64_t *touches = nullptr;
+    Meta *meta = nullptr;
 
     std::uint64_t touchClock = 1;
     std::uint64_t nDirty = 0;  ///< valid entries with dirty == true

@@ -28,10 +28,10 @@ CoreMemory::registerStats(StatSet &set)
 void
 CoreMemory::fillL1(Addr block_addr, bool dirty, Cycle when)
 {
-    if (TagStore::Entry *e = l1.find(block_addr)) {
-        l1.touchEntry(*e);
+    if (TagStore::Slot s = l1.find(block_addr); s != TagStore::kNoSlot) {
+        l1.touchSlot(s);
         if (dirty) {
-            l1.setEntryDirty(*e, true);
+            l1.setSlotDirty(s, true);
         }
         return;
     }
@@ -45,10 +45,10 @@ CoreMemory::fillL1(Addr block_addr, bool dirty, Cycle when)
 void
 CoreMemory::fillL2(Addr block_addr, bool dirty, Cycle when)
 {
-    if (TagStore::Entry *e = l2.find(block_addr)) {
-        l2.touchEntry(*e);
+    if (TagStore::Slot s = l2.find(block_addr); s != TagStore::kNoSlot) {
+        l2.touchSlot(s);
         if (dirty) {
-            l2.setEntryDirty(*e, true);
+            l2.setSlotDirty(s, true);
         }
         return;
     }
@@ -134,19 +134,19 @@ CoreMemory::load(Addr addr, Cycle when, Callback on_done)
     ++statLoads;
     Addr a = blockAlign(addr);
 
-    if (TagStore::Entry *e = l1.find(a)) {
+    if (TagStore::Slot s = l1.find(a); s != TagStore::kNoSlot) {
         ++statL1Hits;
-        l1.touchEntry(*e);
+        l1.touchSlot(s);
         return Result{false, cfg.l1.latency};
     }
-    if (TagStore::Entry *e = l2.find(a)) {
+    if (TagStore::Slot s = l2.find(a); s != TagStore::kNoSlot) {
         ++statL2Hits;
-        l2.touchEntry(*e);
-        bool dirty = e->dirty;
+        l2.touchSlot(s);
+        bool dirty = l2.dirtyAt(s);
         // Move the block up; L2 keeps its copy clean once L1 owns the
         // dirty state (exclusive dirty ownership avoids double
         // writebacks).
-        l2.setEntryDirty(*e, false);
+        l2.setSlotDirty(s, false);
         fillL1(a, dirty, when);
         return Result{false, cfg.l1.latency + cfg.l2.latency};
     }
@@ -159,16 +159,16 @@ CoreMemory::store(Addr addr, Cycle when, Callback on_done)
     ++statStores;
     Addr a = blockAlign(addr);
 
-    if (TagStore::Entry *e = l1.find(a)) {
+    if (TagStore::Slot s = l1.find(a); s != TagStore::kNoSlot) {
         ++statL1Hits;
-        l1.touchEntry(*e);
-        l1.setEntryDirty(*e, true);
+        l1.touchSlot(s);
+        l1.setSlotDirty(s, true);
         return Result{false, 1};
     }
-    if (TagStore::Entry *e = l2.find(a)) {
+    if (TagStore::Slot s = l2.find(a); s != TagStore::kNoSlot) {
         ++statL2Hits;
-        l2.touchEntry(*e);
-        l2.setEntryDirty(*e, false);
+        l2.touchSlot(s);
+        l2.setSlotDirty(s, false);
         fillL1(a, true, when);
         return Result{false, 1};
     }

@@ -1,5 +1,7 @@
 #include "dbi.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace dbsim {
@@ -30,7 +32,7 @@ Dbi::Dbi(const DbiConfig &config, std::uint64_t cache_blocks)
     for (auto &e : entries) {
         e.dirty = BitVec(cfg.granularity);
     }
-    tagMirror.assign(entries.size(), kInvalidAddr);
+    regionTags.assign(entries.size(), kInvalidAddr);
 }
 
 void
@@ -66,7 +68,7 @@ Dbi::findEntry(std::uint64_t region_tag)
 {
     std::size_t base =
         static_cast<std::size_t>(setIndexOf(region_tag)) * cfg.assoc;
-    const std::uint64_t *set_tags = tagMirror.data() + base;
+    const std::uint64_t *set_tags = regionTags.data() + base;
     for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
         if (set_tags[w] == region_tag) {
             return &entries[base + w];
@@ -150,12 +152,12 @@ Dbi::victimWay(std::uint32_t set)
 }
 
 std::vector<Addr>
-Dbi::drainEntry(const Entry &entry) const
+Dbi::drainEntry(std::size_t i) const
 {
     std::vector<Addr> wbs;
-    wbs.reserve(entry.dirty.count());
-    entry.dirty.forEachSet([&](std::uint32_t idx) {
-        wbs.push_back(regionMap.blockAddr(entry.regionTag, idx));
+    wbs.reserve(entries[i].dirty.count());
+    entries[i].dirty.forEachSet([&](std::uint32_t idx) {
+        wbs.push_back(regionMap.blockAddr(regionTags[i], idx));
     });
     return wbs;
 }
@@ -182,9 +184,10 @@ Dbi::setDirty(Addr block_addr, bool account)
 
     // Allocate a new entry; find a free way or evict.
     std::uint32_t set = setIndexOf(tag);
+    std::size_t base = static_cast<std::size_t>(set) * cfg.assoc;
     std::uint32_t way = cfg.assoc;
     for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
-        if (!at(set, w).valid) {
+        if (regionTags[base + w] == kInvalidAddr) {
             way = w;
             break;
         }
@@ -193,8 +196,7 @@ Dbi::setDirty(Addr block_addr, bool account)
     std::vector<Addr> evicted_wbs;
     if (way == cfg.assoc) {
         way = victimWay(set);
-        Entry &victim = at(set, way);
-        evicted_wbs = drainEntry(victim);
+        evicted_wbs = drainEntry(base + way);
         if (account) {
             ++statEvictions;
             statEvictionWbs += evicted_wbs.size();
@@ -202,14 +204,12 @@ Dbi::setDirty(Addr block_addr, bool account)
         dirtyBits -= evicted_wbs.size();
     }
 
-    Entry &ne = at(set, way);
-    ne.valid = true;
-    ne.regionTag = tag;
+    Entry &ne = entries[base + way];
+    regionTags[base + way] = tag;
     ne.dirty.clear();
     ne.dirty.set(bit);
     ne.rrpv = kRrpvMax - 1;
     ++dirtyBits;
-    tagMirror[static_cast<std::size_t>(set) * cfg.assoc + way] = tag;
     if (account) {
         ++statInserts;
     }
@@ -239,8 +239,8 @@ Dbi::clearDirty(Addr block_addr, bool account)
     e->dirty.reset(bit);
     --dirtyBits;
     if (e->dirty.none()) {
-        e->valid = false;  // free the entry for another DRAM row
-        tagMirror[static_cast<std::size_t>(e - entries.data())] =
+        // Free the entry for another DRAM row.
+        regionTags[static_cast<std::size_t>(e - entries.data())] =
             kInvalidAddr;
     }
 }
@@ -253,7 +253,7 @@ Dbi::dirtyBlocksInRegion(Addr block_addr) const
     if (!e) {
         return {};
     }
-    return drainEntry(*e);
+    return drainEntry(static_cast<std::size_t>(e - entries.data()));
 }
 
 bool
@@ -280,8 +280,9 @@ bool
 Dbi::bankHasDirty(std::uint32_t bank, const DramAddrMap &map) const
 {
     ++const_cast<Dbi *>(this)->statLookups;
-    for (const auto &e : entries) {
-        if (!e.valid || e.dirty.none()) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const Entry &e = entries[i];
+        if (regionTags[i] == kInvalidAddr || e.dirty.none()) {
             continue;
         }
         // Reconstruct each dirty block's address and ask the DRAM map
@@ -292,7 +293,7 @@ Dbi::bankHasDirty(std::uint32_t bank, const DramAddrMap &map) const
         bool hit = false;
         e.dirty.forEachSet([&](std::uint32_t idx) {
             if (!hit &&
-                map.bank(regionMap.blockAddr(e.regionTag, idx)) == bank) {
+                map.bank(regionMap.blockAddr(regionTags[i], idx)) == bank) {
                 hit = true;
             }
         });
@@ -314,12 +315,13 @@ Dbi::countDirtyInRange(Addr base, std::uint64_t bytes) const
     Addr start = base - base % region_bytes;
     std::uint64_t n = 0;
     for (Addr r = start; r < base + bytes; r += region_bytes) {
-        const Entry *e = findEntry(regionMap.regionTag(r));
+        std::uint64_t tag = regionMap.regionTag(r);
+        const Entry *e = findEntry(tag);
         if (!e) {
             continue;
         }
         e->dirty.forEachSet([&](std::uint32_t idx) {
-            Addr b = regionMap.blockAddr(e->regionTag, idx);
+            Addr b = regionMap.blockAddr(tag, idx);
             if (b >= base && b < base + bytes) {
                 ++n;
             }
@@ -337,13 +339,9 @@ Dbi::countDirtyBlocks() const
 std::uint64_t
 Dbi::countValidEntries() const
 {
-    std::uint64_t n = 0;
-    for (const auto &e : entries) {
-        if (e.valid) {
-            ++n;
-        }
-    }
-    return n;
+    return static_cast<std::uint64_t>(
+        entries.size() -
+        std::count(regionTags.begin(), regionTags.end(), kInvalidAddr));
 }
 
 } // namespace dbsim

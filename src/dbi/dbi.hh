@@ -141,12 +141,12 @@ class Dbi
     void
     forEachDirtyBlock(Fn &&fn) const
     {
-        for (const auto &e : entries) {
-            if (!e.valid) {
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            if (regionTags[i] == kInvalidAddr) {
                 continue;
             }
-            e.dirty.forEachSet([&](std::uint32_t idx) {
-                fn(regionMap.blockAddr(e.regionTag, idx));
+            entries[i].dirty.forEachSet([&](std::uint32_t idx) {
+                fn(regionMap.blockAddr(regionTags[i], idx));
             });
         }
     }
@@ -180,10 +180,9 @@ class Dbi
     Counter statEvictionWbs; ///< writebacks generated by DBI evictions
 
   private:
+    /** Per-entry state beyond the region tag (held in regionTags). */
     struct Entry
     {
-        bool valid = false;
-        std::uint64_t regionTag = 0;
         BitVec dirty{128};
         std::uint64_t lastWrite = 0;  ///< LRW timestamp
         std::uint8_t rrpv = 0;
@@ -194,8 +193,8 @@ class Dbi
     const Entry *findEntry(std::uint64_t region_tag) const;
     std::uint32_t victimWay(std::uint32_t set);
 
-    /** Collect the victim's dirty blocks as writeback addresses. */
-    std::vector<Addr> drainEntry(const Entry &entry) const;
+    /** Collect entry i's dirty blocks as writeback addresses. */
+    std::vector<Addr> drainEntry(std::size_t i) const;
 
     Entry &at(std::uint32_t set, std::uint32_t way);
     const Entry &at(std::uint32_t set, std::uint32_t way) const;
@@ -207,11 +206,12 @@ class Dbi
     std::vector<Entry> entries;
 
     /**
-     * Dense region-tag mirror of entries[] (kInvalidAddr = invalid), so
-     * findEntry — the access-path lookup — scans a flat array instead
-     * of striding Entry structs that each drag a BitVec along.
+     * Region tag of entries[i], kInvalidAddr when invalid: the only
+     * copy of both, so findEntry — the access-path lookup — scans a
+     * flat array instead of striding Entry structs that each drag a
+     * BitVec along.
      */
-    std::vector<std::uint64_t> tagMirror;
+    std::vector<std::uint64_t> regionTags;
 
     /** Total dirty bits set across valid entries (kept incrementally). */
     std::uint64_t dirtyBits = 0;

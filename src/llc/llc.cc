@@ -191,8 +191,7 @@ Llc::normalRead(Addr block_addr, std::uint32_t core, Cycle when,
     Cycle start = occupyPort(when);
     Cycle tag_done = start + cfg.tagLatency;
 
-    TagStore::Entry *e = store.find(a);
-    bool hit = e != nullptr;
+    bool hit = store.contains(a);
     lookupPol->recordOutcome(a, core, hit, when);
     for (MetadataIndex *m : metaIndexes) {
         m->onRead(a, core, hit, when);
@@ -241,8 +240,8 @@ Llc::countStoreDirtyInRow(Addr block_addr) const
     Addr base = map.rowBase(block_addr);
     std::uint64_t dirty = 0;
     for (std::uint32_t i = 0; i < map.blocksPerRow(); ++i) {
-        const TagStore::Entry *e = store.find(base + Addr{i} * kBlockBytes);
-        if (e && e->dirty) {
+        TagStore::Slot s = store.find(base + Addr{i} * kBlockBytes);
+        if (s != TagStore::kNoSlot && store.dirtyAt(s)) {
             ++dirty;
         }
     }

@@ -38,8 +38,9 @@ TagDirtyStore::functionalWritebackIn(Addr block_addr, std::uint32_t core)
 bool
 TagDirtyStore::isDirty(Addr block_addr) const
 {
-    const TagStore::Entry *e = llc->tags().find(block_addr);
-    return e && e->dirty;
+    const TagStore &tags = llc->tags();
+    TagStore::Slot s = tags.find(block_addr);
+    return s != TagStore::kNoSlot && tags.dirtyAt(s);
 }
 
 bool
@@ -308,9 +309,9 @@ VwqSweepPolicy::setFlagged(std::uint32_t set) const
     // tag entries: probe the store for each LRU-way block of the set.
     const DirtyStore &ds = llc->dirtyStore();
     for (std::uint32_t way = 0; way < tags.assoc(); ++way) {
-        const TagStore::Entry &e = tags.entryAt(set, way);
-        if (e.valid && tags.lruRank(e.block) < lruWays &&
-            ds.probeDirty(e.block)) {
+        Addr b = tags.blockAt(tags.slotOf(set, way));
+        if (b != kInvalidAddr && tags.lruRank(b) < lruWays &&
+            ds.probeDirty(b)) {
             return true;
         }
     }

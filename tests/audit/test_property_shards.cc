@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "sim/system.hh"
+#include "support/temp_path.hh"
 #include "workload/file_trace.hh"
 
 namespace dbsim {
@@ -113,7 +115,8 @@ const std::vector<std::string> kMechanisms = {
 
 TEST(PropertyShards, AuditedShardedRunsStayQuietAndThreadInvariant)
 {
-    const std::string dir = ::testing::TempDir();
+    const test::TempPath dir;
+    std::filesystem::create_directories(dir.str());
     constexpr int kStreams = 6;
     for (int i = 0; i < kStreams; ++i) {
         WorkloadMix mix = writeTraces(i, dir);
@@ -153,7 +156,8 @@ TEST(PropertyShards, FinalImagesAreThreadCountInvariantPerSlice)
     // equality per slice (System panics otherwise). On top of that,
     // the image each slice ends with must not depend on the worker
     // count — the strongest per-slice statement of determinism.
-    const std::string dir = ::testing::TempDir();
+    const test::TempPath dir;
+    std::filesystem::create_directories(dir.str());
     WorkloadMix mix = writeTraces(97, dir);
 
     for (const std::string &name : {std::string("DBI"),

@@ -1,4 +1,9 @@
-/** @file Unit and property tests for the set-associative tag store. */
+/**
+ * @file
+ * Unit and property tests for the set-associative tag store. The
+ * binary links tests/support/alloc_counter.cc, so the footprint tests
+ * measure what a TagStore really allocates.
+ */
 
 #include <gtest/gtest.h>
 
@@ -6,6 +11,7 @@
 
 #include "cache/tag_store.hh"
 #include "common/rng.hh"
+#include "support/alloc_counter.hh"
 
 namespace dbsim {
 namespace {
@@ -223,6 +229,144 @@ TEST(TagStoreDrrip, VictimHasMaxRrpv)
     ts.insert(addrForSet(7, 4), 0, false);
     ts.insert(addrForSet(7, 5), 0, false);
     EXPECT_TRUE(ts.contains(addrForSet(7, 2)));
+}
+
+// --- Layout-independence: pinned digest of a random op stream ---
+
+/** FNV-1a over 64-bit words. */
+struct Digest
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * Drive a seeded stream of every mutating op and every query through a
+ * tag store and digest each observable outcome: hit/miss, every
+ * Eviction, the bimodal-insert flag, isDirty, lruRank,
+ * anyDirtyInLruWays, and countDirty() after every op. Any change to
+ * the store's storage layout must leave this digest unchanged.
+ */
+std::uint64_t
+opStreamDigest(const CacheGeometry &geo, int ops)
+{
+    TagStore ts(geo);
+    Rng rng(geo.seed * 7919 + static_cast<std::uint64_t>(geo.repl));
+    Digest d;
+    // Three times the capacity: a mix of hits, misses and evictions.
+    const std::uint64_t span = ts.numBlocks() * 3;
+    for (int op = 0; op < ops; ++op) {
+        Addr a = rng.below(span) * kBlockBytes;
+        auto thread = static_cast<std::uint32_t>(rng.below(geo.numThreads));
+        std::uint64_t kind = rng.below(16);
+        bool present = ts.contains(a);
+        d.add(present);
+        if (kind < 8) {
+            if (present) {
+                ts.touch(a, thread);
+            } else {
+                auto ev = ts.insert(a, thread, rng.chance(0.3));
+                d.add(ev.valid);
+                d.add(ev.block);
+                d.add(ev.dirty);
+                d.add(ts.lastInsertUsedBimodal());
+            }
+        } else if (kind < 10) {
+            if (present) {
+                ts.markDirty(a);
+            }
+        } else if (kind < 11) {
+            if (present) {
+                ts.markClean(a);
+            }
+        } else if (kind < 12) {
+            ts.invalidate(a);
+        } else if (kind < 14) {
+            if (present) {
+                d.add(ts.lruRank(a));
+                d.add(ts.isDirty(a));
+            }
+        } else {
+            auto ways =
+                1 + static_cast<std::uint32_t>(rng.below(geo.assoc));
+            d.add(ts.anyDirtyInLruWays(ts.setIndex(a), ways));
+        }
+        d.add(ts.countDirty());
+    }
+    d.add(ts.statHits.value());
+    d.add(ts.statMisses.value());
+    d.add(ts.statEvictions.value());
+    return d.h;
+}
+
+struct DigestCase
+{
+    ReplPolicy repl;
+    std::uint64_t small;  ///< 4 KB, 4-way, 1 thread
+    std::uint64_t large;  ///< 2 MB, 16-way, 4 threads
+};
+
+TEST(TagStoreLayout, OpStreamDigestIsPinned)
+{
+    // Pinned on the array-of-structs tag store that predates the
+    // single-copy layout; every later layout must reproduce them.
+    const DigestCase cases[] = {
+        {ReplPolicy::Lru, 0xbdccf108d60eb3a8ull, 0x5346ac3873b13b00ull},
+        {ReplPolicy::TaDip, 0xd8f9a2843652b62cull, 0x15241f06bcefcbd5ull},
+        {ReplPolicy::Drrip, 0xffd7468785be58aeull, 0xc32ad1771ba4aad0ull},
+        {ReplPolicy::Random, 0xdb04384d8856f88dull, 0xd7d5fef7ad5749aeull},
+    };
+    for (const DigestCase &c : cases) {
+        SCOPED_TRACE(static_cast<int>(c.repl));
+        std::uint64_t small =
+            opStreamDigest(CacheGeometry{4096, 4, c.repl, 1, 5}, 20'000);
+        std::uint64_t large = opStreamDigest(
+            CacheGeometry{2ull << 20, 16, c.repl, 4, 11}, 200'000);
+        EXPECT_EQ(small, c.small);
+        EXPECT_EQ(large, c.large);
+    }
+}
+
+TEST(TagStoreLayout, HeapBytesPerBlockOnSliced64cLlc)
+{
+    // One LLC slice of the 64-core, 4-slice machine: 128 MB / 4 slices,
+    // 32-way TA-DIP with a policy selector per core. Besides the
+    // 18 bytes per block, only the per-thread selectors are allowed.
+    CacheGeometry geo{(128ull << 20) / 4, 32, ReplPolicy::TaDip, 64, 1};
+    std::uint64_t before = test::heapBytes();
+    TagStore ts(geo);
+    std::uint64_t bytes = test::heapBytes() - before;
+    EXPECT_EQ(ts.numBlocks(), 524'288u);
+    EXPECT_LE(bytes, 18 * ts.numBlocks() + 1024);
+}
+
+TEST(TagStoreLayout, QueriesDoNotAllocate)
+{
+    TagStore ts(CacheGeometry{2ull << 20, 16, ReplPolicy::TaDip, 4, 3});
+    Rng rng(9);
+    for (int i = 0; i < 100'000; ++i) {
+        Addr a = rng.below(ts.numBlocks() * 2) * kBlockBytes;
+        if (!ts.contains(a)) {
+            ts.insert(a, static_cast<std::uint32_t>(i % 4), i % 3 == 0);
+        }
+    }
+    std::uint64_t before = test::heapAllocs();
+    bool any = false;
+    for (std::uint32_t set = 0; set < ts.numSets(); ++set) {
+        any |= ts.anyDirtyInLruWays(set, 4);
+        Addr b = ts.blockAt(ts.slotOf(set, 0));
+        any |= b != kInvalidAddr && ts.lruRank(b) < 4;
+    }
+    EXPECT_TRUE(any);
+    EXPECT_EQ(test::heapAllocs(), before);
 }
 
 TEST(TagStoreRandom, EvictsSomethingValid)

@@ -19,6 +19,7 @@
 #include "exp/checkpoint.hh"
 #include "exp/jsonl_read.hh"
 #include "exp/runner.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim::exp {
 namespace {
@@ -69,17 +70,10 @@ class CheckpointTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = ::testing::TempDir() + "dbsim_checkpoint_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
-        std::filesystem::remove_all(dir);
-        std::filesystem::create_directories(dir);
-        jsonl = dir + "/out.jsonl";
+        std::filesystem::create_directories(dir.str());
+        jsonl = dir.str() + "/out.jsonl";
         manifest = jsonl + ".manifest";
     }
-
-    void TearDown() override { std::filesystem::remove_all(dir); }
 
     std::vector<PointRecord>
     runSweep(bool resume, std::size_t *resumed = nullptr)
@@ -97,7 +91,8 @@ class CheckpointTest : public ::testing::Test
         return records;
     }
 
-    std::string dir, jsonl, manifest;
+    test::TempPath dir;
+    std::string jsonl, manifest;
 };
 
 TEST(SweepSpecHash, DistinguishesContentNotExecution)

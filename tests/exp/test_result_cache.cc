@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +21,7 @@
 
 #include "exp/result_cache.hh"
 #include "exp/runner.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim::exp {
 namespace {
@@ -32,24 +31,14 @@ class ResultCacheTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = ::testing::TempDir() + "dbsim_result_cache_" +
-              std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
-        std::filesystem::remove_all(dir);
         // Pin the stamp: these tests exercise persistence across
         // ResultCache instances, which requires a stable stamp.
         ::setenv("DBSIM_CACHE_STAMP", "test-stamp-1", 1);
     }
 
-    void TearDown() override
-    {
-        ::unsetenv("DBSIM_CACHE_STAMP");
-        std::filesystem::remove_all(dir);
-    }
+    void TearDown() override { ::unsetenv("DBSIM_CACHE_STAMP"); }
 
-    std::string dir;
+    test::TempPath dir;
 };
 
 TEST(Fnv1a64, KnownVectors)
@@ -155,8 +144,7 @@ TEST(CanonicalConfig, RewritingTraceInPlaceFlipsTheKey)
     // The trace participates by content hash: an in-place rewrite must
     // flip the key even though path, size, and record count are all
     // unchanged — the staleness case mtime-free caches get wrong.
-    const std::string trace =
-        ::testing::TempDir() + "dbsim_cache_trace_key.txt";
+    const test::TempPath trace(".txt");
     std::ofstream(trace) << "1 R 1000\n2 W 2000\n";
 
     SystemConfig cfg;
@@ -169,15 +157,13 @@ TEST(CanonicalConfig, RewritingTraceInPlaceFlipsTheKey)
 
     std::ofstream(trace) << "1 R 1000\n2 W 2000\n"; // byte-identical
     EXPECT_EQ(canonicalConfig(cfg), before);
-    std::remove(trace.c_str());
 }
 
 TEST(Fnv1a64, FileHashMatchesInMemoryHash)
 {
     // fnv1a64File streams in chunks; it must agree with the in-memory
     // hash of the same bytes, including across its refill boundary.
-    const std::string path =
-        ::testing::TempDir() + "dbsim_cache_hash_file.bin";
+    const test::TempPath path(".bin");
     std::string content;
     for (int i = 0; i < 300'000; ++i) { // well past one 64KB chunk
         content.push_back(static_cast<char>(i * 131 % 251));
@@ -186,7 +172,6 @@ TEST(Fnv1a64, FileHashMatchesInMemoryHash)
         .write(content.data(),
                static_cast<std::streamsize>(content.size()));
     EXPECT_EQ(fnv1a64File(path), fnv1a64(content));
-    std::remove(path.c_str());
 }
 
 TEST(Fnv1a64, MissingTraceFileIsFatalAtKeyTime)
@@ -332,7 +317,7 @@ TEST_F(ResultCacheTest, CorruptedAndTruncatedShardLinesAreDropped)
     for (std::uint32_t i = 0; i < ResultCache::kNumShards; ++i) {
         char name[32];
         std::snprintf(name, sizeof(name), "shard_%02x.jsonl", i);
-        std::string path = dir + "/" + name;
+        std::string path = dir.str() + "/" + name;
         std::ifstream probe(path);
         if (probe && probe.peek() != EOF) {
             shard_file = path;

@@ -11,11 +11,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "exp/runner.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim::exp {
 namespace {
@@ -106,8 +108,10 @@ TEST(ExperimentRunner, MixSimRecordsCarryMulticoreMetrics)
 
 TEST(ExperimentRunner, JsonlSinkStreamsEveryRecord)
 {
-    std::string path = ::testing::TempDir() + "dbsim_runner_test.jsonl";
-    std::remove(path.c_str());
+    // A directory: the runner writes a manifest beside the JSONL.
+    test::TempPath dir;
+    std::filesystem::create_directories(dir.str());
+    const std::string path = dir.str() + "/out.jsonl";
 
     RunOptions opts;
     opts.jobs = 4;
@@ -123,7 +127,6 @@ TEST(ExperimentRunner, JsonlSinkStreamsEveryRecord)
     while (std::getline(in, line)) {
         file_lines.push_back(line);
     }
-    std::remove(path.c_str());
 
     // The file streams records in completion order; sorted, it must
     // match the returned records exactly.

@@ -21,6 +21,7 @@
 
 #include "exp/json.hh"
 #include "exp/service.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim::exp {
 namespace {
@@ -107,19 +108,11 @@ class FarmServiceTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = ::testing::TempDir() + "dbsim_farm_" +
-              std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
-        std::filesystem::remove_all(dir);
         cfg.cacheDir = dir;
         cfg.jobs = 2;
     }
 
-    void TearDown() override { std::filesystem::remove_all(dir); }
-
-    std::string dir;
+    test::TempPath dir;
     ServiceConfig cfg;
 };
 

@@ -22,6 +22,7 @@
 
 #include "sim/mechanism.hh"
 #include "sim/system.hh"
+#include "support/temp_path.hh"
 #include "workload/champsim_trace.hh"
 #include "workload/sampled_trace.hh"
 
@@ -34,11 +35,9 @@ namespace {
  * so any window is representative — the property the estimator bound
  * leans on.
  */
-std::string
-writeStationaryTrace()
+void
+writeStationaryTrace(const std::string &path)
 {
-    std::string path =
-        ::testing::TempDir() + "dbsim_sampling_test.champsim";
     std::vector<ChampSimRecord> recs;
     recs.reserve(120'000);
     std::uint64_t rng = 0x2545f4914f6cdd1dull;
@@ -70,14 +69,20 @@ writeStationaryTrace()
         recs.push_back(cr);
     }
     ChampSimTrace::write(path, recs);
-    return path;
 }
+
+/** The trace, written once per test process and removed at its exit. */
+struct StationaryTrace
+{
+    test::TempPath path{".champsim"};
+    StationaryTrace() { writeStationaryTrace(path); }
+};
 
 const std::string &
 tracePath()
 {
-    static const std::string path = writeStationaryTrace();
-    return path;
+    static const StationaryTrace trace;
+    return trace.path;
 }
 
 SystemConfig

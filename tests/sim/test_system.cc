@@ -11,6 +11,7 @@
 #include "exp/alone_cache.hh"
 #include "sim/metrics.hh"
 #include "sim/system.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim {
 namespace {
@@ -204,7 +205,7 @@ TEST(Metrics, AloneIpcCacheIsConsistent)
 TEST(SystemIntegration, FileTraceWorkload)
 {
     // Write a small streaming trace and run it through the system.
-    std::string path = ::testing::TempDir() + "dbsim_sys_trace.txt";
+    test::TempPath path(".txt");
     {
         std::vector<TraceOp> records;
         for (Addr a = 0; a < 512; ++a) {
@@ -215,9 +216,8 @@ TEST(SystemIntegration, FileTraceWorkload)
     SystemConfig cfg = quickConfig(Mechanism::DbiAwb);
     cfg.core.warmupInstrs = 50'000;
     cfg.core.measureInstrs = 50'000;
-    SimResult r = runWorkload(cfg, {"@" + path});
+    SimResult r = runWorkload(cfg, {"@" + path.str()});
     EXPECT_GT(r.ipc[0], 0.1);
-    std::remove(path.c_str());
 }
 
 TEST(Mechanisms, NamesRoundTrip)

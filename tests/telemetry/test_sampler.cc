@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/stats.hh"
+#include "support/temp_path.hh"
 #include "telemetry/sampler.hh"
 
 namespace dbsim::telemetry {
@@ -132,7 +133,7 @@ TEST(StatSampler, FinishOnEmptyRunStillEmitsOneEpoch)
 
 TEST(StatSampler, JsonlStreamHasOneParseableRowPerEpoch)
 {
-    std::string path = ::testing::TempDir() + "sampler_test.jsonl";
+    test::TempPath path(".jsonl");
     {
         StatSampler s(10);
         s.openJsonl(path);
@@ -156,7 +157,6 @@ TEST(StatSampler, JsonlStreamHasOneParseableRowPerEpoch)
         EXPECT_NE(line.find("\"depth\":"), std::string::npos);
     }
     EXPECT_EQ(rows, 2u);
-    std::remove(path.c_str());
 }
 
 TEST(StatSampler, ChannelNamesPreserveRegistrationOrder)

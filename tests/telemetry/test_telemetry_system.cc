@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "common/prof.hh"
 #include "sim/system.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim {
 namespace {
@@ -150,7 +152,7 @@ TEST(TelemetrySystem, EpochRingCoversTheRun)
 
 TEST(TelemetrySystem, TraceFileIsWellFormedJson)
 {
-    std::string path = ::testing::TempDir() + "telemetry_test.trace.json";
+    test::TempPath path(".trace.json");
     {
         SystemConfig cfg = quickConfig(Mechanism::DbiAwb);
         cfg.telemetry.tracePath = path;
@@ -175,7 +177,6 @@ TEST(TelemetrySystem, TraceFileIsWellFormedJson)
     EXPECT_NE(doc.find("\"telemetry.drainCyclesTraced\":"),
               std::string::npos);
     EXPECT_NE(doc.find("\"ph\":\"M\""), std::string::npos);
-    std::remove(path.c_str());
 }
 
 TEST(TelemetrySystem, PointSuffixSplicesBeforeExtension)
@@ -208,7 +209,11 @@ TEST(TelemetrySystem, ShardedFlightRecorderIsAnObserver)
     WorkloadMix mix{"lbm", "libquantum", "mcf", "stream"};
     SimResult a = runWorkload(plain, mix);
 
-    std::string trace = ::testing::TempDir() + "fr_neutral.trace.json";
+    // A directory, so the per-shard streams beside the merged trace
+    // are removed with it.
+    test::TempPath dir;
+    std::filesystem::create_directories(dir.str());
+    const std::string trace = dir.str() + "/fr_neutral.trace.json";
     SystemConfig observed = plain;
     observed.telemetry.tracePath = trace;
     observed.telemetry.sampleEvery = 10'000;
@@ -251,13 +256,6 @@ TEST(TelemetrySystem, ShardedFlightRecorderIsAnObserver)
     EXPECT_NE(doc.find("shard 3"), std::string::npos);
     EXPECT_NE(doc.find("\"s0.telemetry.fabricFlowsBegun\""),
               std::string::npos);
-
-    std::remove(trace.c_str());
-    for (int s = 0; s < 4; ++s) {
-        std::string shard_path = telemetry::suffixedPath(
-            trace, "s" + std::to_string(s));
-        std::remove(shard_path.c_str());
-    }
 }
 
 TEST(TelemetrySystem, ProfileAloneKeepsResultsAndSkipsTelemetry)

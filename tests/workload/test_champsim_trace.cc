@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_path.hh"
 #include "workload/champsim_trace.hh"
 #include "workload/trace_decode.hh"
 
@@ -71,15 +72,7 @@ nopRec(bool branch = false)
 class ChampSimTraceTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        path = ::testing::TempDir() + "dbsim_champsim_test.champsim";
-    }
-
-    void TearDown() override { std::remove(path.c_str()); }
-
-    std::string path;
+    test::TempPath path{".champsim"};
 };
 
 TEST_F(ChampSimTraceTest, RoundTripBasics)
@@ -202,7 +195,7 @@ TEST_F(ChampSimTraceTest, CompressedRoundTripsMatchRaw)
         if (!traceCodecAvailable(codec)) {
             continue;  // build without the library: covered elsewhere
         }
-        std::string cpath = path + (codec == TraceCodec::Gzip ? ".gz"
+        std::string cpath = path.str() + (codec == TraceCodec::Gzip ? ".gz"
                                                               : ".xz");
         ChampSimTrace::write(cpath, recs, codec);
         ChampSimTrace trace(cpath);

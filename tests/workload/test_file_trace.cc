@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_path.hh"
 #include "workload/file_trace.hh"
 
 namespace dbsim {
@@ -27,15 +28,7 @@ peakRssBytes()
 class FileTraceTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        path = ::testing::TempDir() + "dbsim_trace_test.txt";
-    }
-
-    void TearDown() override { std::remove(path.c_str()); }
-
-    std::string path;
+    test::TempPath path{".txt"};
 };
 
 TEST_F(FileTraceTest, ParsesBasicFormat)
