@@ -1,6 +1,7 @@
 #include "tag_store.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -30,7 +31,10 @@ TagStore::TagStore(const CacheGeometry &geometry)
     tags = reinterpret_cast<Addr *>(slab.get());
     touches = reinterpret_cast<std::uint64_t *>(tags + n);
     meta = reinterpret_cast<Meta *>(touches + n);
-    std::uninitialized_fill_n(tags, n, kInvalidAddr);
+    // kInvalidAddr is all-ones, so the tag fill is a memset too: the
+    // library's, not a compiled store loop, sets the construction cost.
+    static_assert(kInvalidAddr == ~Addr{0});
+    std::memset(tags, 0xff, n * sizeof(Addr));
     std::uninitialized_fill_n(touches, n, std::uint64_t{0});
     std::uninitialized_fill_n(meta, n, Meta{});
 }
@@ -53,6 +57,24 @@ TagStore::find(Addr block_addr) const
         }
     }
     return kNoSlot;
+}
+
+TagStore::Probe
+TagStore::probe(Addr block_addr) const
+{
+    Addr a = blockAlign(block_addr);
+    Slot base = slotOf(setIndex(a), 0);
+    Slot free = kNoSlot;
+    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
+        Addr t = tags[base + w];
+        if (t == a) {
+            return Probe{a, base + w, true};
+        }
+        if (t == kInvalidAddr && free == kNoSlot) {
+            free = base + w;
+        }
+    }
+    return Probe{a, free, false};
 }
 
 void
@@ -156,21 +178,23 @@ TagStore::victimWay(std::uint32_t set)
 TagStore::Eviction
 TagStore::insert(Addr block_addr, std::uint32_t thread, bool dirty)
 {
-    Addr a = blockAlign(block_addr);
-    panic_if(contains(a), "insert of resident block %llx",
-             static_cast<unsigned long long>(a));
+    Probe p = probe(block_addr);
+    panic_if(p.hit, "insert of resident block %llx",
+             static_cast<unsigned long long>(p.block));
+    return fill(p, thread, dirty);
+}
+
+TagStore::Eviction
+TagStore::fill(const Probe &p, std::uint32_t thread, bool dirty)
+{
     ++statMisses;
     ++statInsertions;
 
-    std::uint32_t set = setIndex(a);
+    std::uint32_t set = setIndex(p.block);
     Slot base = slotOf(set, 0);
-    std::uint32_t way = geo.assoc;
-    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        if (tags[base + w] == kInvalidAddr) {
-            way = w;
-            break;
-        }
-    }
+    std::uint32_t way = p.slot == kNoSlot
+                            ? geo.assoc
+                            : static_cast<std::uint32_t>(p.slot - base);
 
     Eviction ev;
     if (way == geo.assoc) {
@@ -183,7 +207,7 @@ TagStore::insert(Addr block_addr, std::uint32_t thread, bool dirty)
     Meta &m = meta[s];
     nDirty -= static_cast<std::uint64_t>(m.dirty);
     nDirty += static_cast<std::uint64_t>(dirty);
-    tags[s] = a;
+    tags[s] = p.block;
     m.dirty = dirty;
 
     bool bimodal = useBimodal(set, thread);

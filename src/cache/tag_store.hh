@@ -85,6 +85,21 @@ class TagStore
     /** Slot holding block_addr, or kNoSlot. */
     Slot find(Addr block_addr) const;
 
+    /**
+     * One scan of a block's set, answering both tag decisions: where
+     * the block is, or where a fill would go.
+     */
+    struct Probe
+    {
+        Addr block;  ///< the block-aligned address probed
+        Slot slot;   ///< hit: the block's slot; miss: first free way,
+                     ///< or kNoSlot when the set is full
+        bool hit;
+    };
+
+    /** Probe block_addr's set (no replacement-state update). */
+    Probe probe(Addr block_addr) const;
+
     Slot slotOf(std::uint32_t set, std::uint32_t way) const
     {
         return static_cast<Slot>(set) * geo.assoc + way;
@@ -114,6 +129,12 @@ class TagStore
      * @return the displaced entry (valid=false if a free way was used).
      */
     Eviction insert(Addr block_addr, std::uint32_t thread, bool dirty);
+
+    /**
+     * insert() for a block probe() just missed, reusing that scan.
+     * @pre p came from probe() with no store mutation since, p.hit false.
+     */
+    Eviction fill(const Probe &p, std::uint32_t thread, bool dirty);
 
     /** Remove a block if present. */
     void invalidate(Addr block_addr);

@@ -50,6 +50,9 @@ class DramAddrMap
         fatal_if(!isPowerOf2(num_banks), "bank count must be a power of 2");
         fatal_if(!isPowerOf2(num_channels) || num_channels == 0,
                  "channel count must be a power of 2");
+        rowShift_ = floorLog2(row_bytes);
+        channelShift_ = floorLog2(num_channels);
+        bankShift_ = floorLog2(num_banks);
     }
 
     std::uint64_t rowBytes() const { return rowBytes_; }
@@ -57,47 +60,52 @@ class DramAddrMap
     std::uint32_t numChannels() const { return numChannels_; }
     std::uint32_t blocksPerRow() const { return blocksPerRow_; }
 
+    // Every divisor below is a validated power of two, so the
+    // coordinates are shifts and masks (this map sits on the DRAM
+    // scheduler's and the DBI's per-request paths).
+
     /** Global row identifier (unique across channels and banks). */
     std::uint64_t
     rowId(Addr addr) const
     {
-        return addr / rowBytes_;
+        return addr >> rowShift_;
     }
 
     /** Channel the address maps to. */
     std::uint32_t
     channel(Addr addr) const
     {
-        return static_cast<std::uint32_t>(rowId(addr) % numChannels_);
+        return static_cast<std::uint32_t>(rowId(addr) & (numChannels_ - 1));
     }
 
     /** Bank the address maps to (within its channel). */
     std::uint32_t
     bank(Addr addr) const
     {
-        return static_cast<std::uint32_t>((rowId(addr) / numChannels_) %
-                                          numBanks_);
+        return static_cast<std::uint32_t>((rowId(addr) >> channelShift_) &
+                                          (numBanks_ - 1));
     }
 
     /** Row index within the bank (what the row decoder sees). */
     std::uint64_t
     rowInBank(Addr addr) const
     {
-        return rowId(addr) / numChannels_ / numBanks_;
+        return rowId(addr) >> (channelShift_ + bankShift_);
     }
 
     /** Index of the block within its DRAM row: 0..blocksPerRow-1. */
     std::uint32_t
     blockInRow(Addr addr) const
     {
-        return static_cast<std::uint32_t>((addr % rowBytes_) >> kBlockShift);
+        return static_cast<std::uint32_t>((addr & (rowBytes_ - 1)) >>
+                                          kBlockShift);
     }
 
     /** First byte address of the row containing addr. */
     Addr
     rowBase(Addr addr) const
     {
-        return addr - (addr % rowBytes_);
+        return addr & ~(rowBytes_ - 1);
     }
 
     /** Byte address of block `idx` within the row containing addr. */
@@ -113,6 +121,9 @@ class DramAddrMap
     std::uint32_t numBanks_;
     std::uint32_t numChannels_;
     std::uint32_t blocksPerRow_;
+    std::uint32_t rowShift_ = 0;      ///< log2(rowBytes_)
+    std::uint32_t channelShift_ = 0;  ///< log2(numChannels_)
+    std::uint32_t bankShift_ = 0;     ///< log2(numBanks_)
 };
 
 /**

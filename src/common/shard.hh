@@ -32,6 +32,7 @@
 #ifndef DBSIM_COMMON_SHARD_HH
 #define DBSIM_COMMON_SHARD_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -224,6 +225,12 @@ class ShardFabric
  * thread) and returns when all have finished — one fork/join barrier
  * per epoch without re-spawning threads. With one worker no threads
  * are created at all and run() is a plain call.
+ *
+ * An epoch is a few events per shard, so a barrier that sleeps on a
+ * condition variable at once costs more than the work it separates.
+ * Both sides of the barrier therefore wait on an atomic first, pausing
+ * and then yielding the CPU (see spinUntil), and sleep only if that
+ * wait runs long.
  */
 class ShardWorkers
 {
@@ -242,16 +249,25 @@ class ShardWorkers
   private:
     void workerLoop(std::uint32_t index);
 
+    /** Busy-wait a bounded while for pred(); returns whether it holds. */
+    template <typename Pred>
+    static bool spinUntil(Pred pred);
+
     std::uint32_t numWorkers;
     std::vector<std::thread> threads;
 
     std::mutex m;
     std::condition_variable cvStart;
     std::condition_variable cvDone;
+    /**
+     * The barrier state is written under m. Spinning waiters read
+     * `generation` and `running` without it, and a worker reads `work`
+     * only after the acquire load that saw its generation.
+     */
     const std::function<void(std::uint32_t)> *work = nullptr;
-    std::uint64_t generation = 0;
-    std::uint32_t running = 0;
-    bool stopping = false;
+    std::atomic<std::uint64_t> generation{0};
+    std::atomic<std::uint32_t> running{0};
+    std::atomic<bool> stopping{false};
 };
 
 } // namespace dbsim

@@ -28,14 +28,15 @@ CoreMemory::registerStats(StatSet &set)
 void
 CoreMemory::fillL1(Addr block_addr, bool dirty, Cycle when)
 {
-    if (TagStore::Slot s = l1.find(block_addr); s != TagStore::kNoSlot) {
-        l1.touchSlot(s);
+    TagStore::Probe p = l1.probe(block_addr);
+    if (p.hit) {
+        l1.touchSlot(p.slot);
         if (dirty) {
-            l1.setSlotDirty(s, true);
+            l1.setSlotDirty(p.slot, true);
         }
         return;
     }
-    TagStore::Eviction ev = l1.insert(block_addr, 0, dirty);
+    TagStore::Eviction ev = l1.fill(p, 0, dirty);
     if (ev.valid && ev.dirty) {
         // L1 dirty victim spills into L2.
         fillL2(ev.block, true, when);
@@ -45,14 +46,15 @@ CoreMemory::fillL1(Addr block_addr, bool dirty, Cycle when)
 void
 CoreMemory::fillL2(Addr block_addr, bool dirty, Cycle when)
 {
-    if (TagStore::Slot s = l2.find(block_addr); s != TagStore::kNoSlot) {
-        l2.touchSlot(s);
+    TagStore::Probe p = l2.probe(block_addr);
+    if (p.hit) {
+        l2.touchSlot(p.slot);
         if (dirty) {
-            l2.setSlotDirty(s, true);
+            l2.setSlotDirty(p.slot, true);
         }
         return;
     }
-    TagStore::Eviction ev = l2.insert(block_addr, 0, dirty);
+    TagStore::Eviction ev = l2.fill(p, 0, dirty);
     if (ev.valid && ev.dirty) {
         // L2 dirty victim becomes a writeback request to the LLC
         // (Section 2.2.2).
@@ -84,48 +86,67 @@ CoreMemory::accessBelowL2(Addr block_addr, bool is_write, Cycle when,
 {
     // MSHR merge: a secondary miss to a block already being filled
     // waits for that fill instead of issuing another LLC access.
-    auto it = inflight.find(block_addr);
-    if (it != inflight.end()) {
+    if (std::uint32_t i = mshrIndex.find(block_addr);
+        i != AddrIndex::kNone) {
         ++statMshrMerges;
-        it->second.push_back(Waiter{is_write, std::move(on_done)});
+        mshrWaiters[i].push_back(Waiter{is_write, std::move(on_done)});
         return Result{true, 0};
+    }
+    std::uint32_t slot;
+    if (!freeMshrs.empty()) {
+        slot = freeMshrs.back();
+        freeMshrs.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(mshrBlock.size());
+        mshrBlock.push_back(kInvalidAddr);
+        mshrWaiters.emplace_back();
     }
 
     // Recycle retired waiter vectors: their capacity survives the round
     // trip through the pool, so the steady state allocates nothing.
-    std::vector<Waiter> fresh;
-    if (!waiterPool.empty()) {
-        fresh = std::move(waiterPool.back());
+    std::vector<Waiter> &waiters = mshrWaiters[slot];
+    if (waiters.capacity() == 0 && !waiterPool.empty()) {
+        waiters = std::move(waiterPool.back());
         waiterPool.pop_back();
     }
-    fresh.push_back(Waiter{is_write, std::move(on_done)});
-    inflight.emplace(block_addr, std::move(fresh));
+    waiters.push_back(Waiter{is_write, std::move(on_done)});
+    mshrBlock[slot] = block_addr;
+    mshrIndex.insert(block_addr, slot);
 
     ++statLlcAccesses;
-    Cycle at = llcAccessTime(when);
-    llc.read(block_addr, coreId, at, [this, block_addr](Cycle done) {
-        auto node = inflight.find(block_addr);
-        panic_if(node == inflight.end(),
-                 "fill completion without MSHR entry");
-        std::vector<Waiter> waiters = std::move(node->second);
-        inflight.erase(node);
-
-        bool any_write = false;
-        for (const auto &w : waiters) {
-            any_write |= w.isWrite;
-        }
-        fillL2(block_addr, false, done);
-        fillL1(block_addr, any_write, done);
-        for (auto &w : waiters) {
-            w.onDone(done);
-        }
-        waiters.clear();
-        waiterPool.push_back(std::move(waiters));
-        if (mshrFreedFn) {
-            mshrFreedFn();
-        }
-    });
+    llc.read(block_addr, coreId, llcAccessTime(when),
+             [this, slot](Cycle done) { completeFill(slot, done); });
     return Result{true, 0};
+}
+
+void
+CoreMemory::completeFill(std::uint32_t slot, Cycle done)
+{
+    Addr block_addr = mshrBlock[slot];
+    panic_if(block_addr == kInvalidAddr,
+             "fill completion without MSHR entry");
+    // Free the slot before waking anyone: a woken access may miss again
+    // and take it.
+    std::vector<Waiter> waiters = std::move(mshrWaiters[slot]);
+    mshrWaiters[slot].clear();
+    mshrBlock[slot] = kInvalidAddr;
+    mshrIndex.erase(block_addr);
+    freeMshrs.push_back(slot);
+
+    bool any_write = false;
+    for (const auto &w : waiters) {
+        any_write |= w.isWrite;
+    }
+    fillL2(block_addr, false, done);
+    fillL1(block_addr, any_write, done);
+    for (auto &w : waiters) {
+        w.onDone(done);
+    }
+    waiters.clear();
+    waiterPool.push_back(std::move(waiters));
+    if (mshrFreedFn) {
+        mshrFreedFn();
+    }
 }
 
 CoreMemory::Result

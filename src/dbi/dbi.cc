@@ -151,20 +151,20 @@ Dbi::victimWay(std::uint32_t set)
     }
 }
 
-std::vector<Addr>
-Dbi::drainEntry(std::size_t i) const
+void
+Dbi::drainEntry(std::size_t i, std::vector<Addr> &out) const
 {
-    std::vector<Addr> wbs;
-    wbs.reserve(entries[i].dirty.count());
+    out.clear();
+    out.reserve(entries[i].dirty.count());
     entries[i].dirty.forEachSet([&](std::uint32_t idx) {
-        wbs.push_back(regionMap.blockAddr(regionTags[i], idx));
+        out.push_back(regionMap.blockAddr(regionTags[i], idx));
     });
-    return wbs;
 }
 
-std::vector<Addr>
-Dbi::setDirty(Addr block_addr, bool account)
+void
+Dbi::setDirty(Addr block_addr, std::vector<Addr> &evicted, bool account)
 {
+    evicted.clear();
     if (account) {
         ++statUpdates;
     }
@@ -179,7 +179,7 @@ Dbi::setDirty(Addr block_addr, bool account)
         }
         e->lastWrite = writeClock++;
         e->rrpv = 0;
-        return {};
+        return;
     }
 
     // Allocate a new entry; find a free way or evict.
@@ -193,15 +193,14 @@ Dbi::setDirty(Addr block_addr, bool account)
         }
     }
 
-    std::vector<Addr> evicted_wbs;
     if (way == cfg.assoc) {
         way = victimWay(set);
-        evicted_wbs = drainEntry(base + way);
+        drainEntry(base + way, evicted);
         if (account) {
             ++statEvictions;
-            statEvictionWbs += evicted_wbs.size();
+            statEvictionWbs += evicted.size();
         }
-        dirtyBits -= evicted_wbs.size();
+        dirtyBits -= evicted.size();
     }
 
     Entry &ne = entries[base + way];
@@ -219,7 +218,6 @@ Dbi::setDirty(Addr block_addr, bool account)
     } else {
         ne.lastWrite = writeClock++;
     }
-    return evicted_wbs;
 }
 
 void
@@ -245,15 +243,16 @@ Dbi::clearDirty(Addr block_addr, bool account)
     }
 }
 
-std::vector<Addr>
-Dbi::dirtyBlocksInRegion(Addr block_addr) const
+void
+Dbi::dirtyBlocksInRegion(Addr block_addr, std::vector<Addr> &out) const
 {
     ++const_cast<Dbi *>(this)->statLookups;
     const Entry *e = findEntry(regionMap.regionTag(block_addr));
     if (!e) {
-        return {};
+        out.clear();
+        return;
     }
-    return drainEntry(static_cast<std::size_t>(e - entries.data()));
+    drainEntry(static_cast<std::size_t>(e - entries.data()), out);
 }
 
 bool

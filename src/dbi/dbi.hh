@@ -102,10 +102,22 @@ class Dbi
      * the state change is identical but no counters move — the
      * functional-warming variant, so fast-forwarded ops never leak into
      * registered statistics.
-     * @return block addresses the caller must write back to memory
-     *         because their entry was evicted (usually empty).
+     * @param evicted replaced with the block addresses the caller must
+     *        write back to memory because their entry was evicted
+     *        (usually none). Caller-owned, so once it has grown the
+     *        eviction path allocates nothing.
      */
-    std::vector<Addr> setDirty(Addr block_addr, bool account = true);
+    void setDirty(Addr block_addr, std::vector<Addr> &evicted,
+                  bool account = true);
+
+    /** setDirty() returning a fresh list (allocates; tests and tools). */
+    std::vector<Addr>
+    setDirty(Addr block_addr, bool account = true)
+    {
+        std::vector<Addr> evicted;
+        setDirty(block_addr, evicted, account);
+        return evicted;
+    }
 
     /**
      * Mark a block clean (after its writeback, Section 2.2.3). If it was
@@ -118,9 +130,18 @@ class Dbi
     /**
      * All blocks currently marked dirty in the region containing
      * block_addr — the single-query row listing that enables AWB
-     * (Section 3.1).
+     * (Section 3.1). `out` is replaced with the list, in block order.
      */
-    std::vector<Addr> dirtyBlocksInRegion(Addr block_addr) const;
+    void dirtyBlocksInRegion(Addr block_addr, std::vector<Addr> &out) const;
+
+    /** dirtyBlocksInRegion() into a fresh list (tests and tools). */
+    std::vector<Addr>
+    dirtyBlocksInRegion(Addr block_addr) const
+    {
+        std::vector<Addr> out;
+        dirtyBlocksInRegion(block_addr, out);
+        return out;
+    }
 
     /** Number of blocks currently marked dirty across the DBI. */
     std::uint64_t countDirtyBlocks() const;
@@ -193,8 +214,8 @@ class Dbi
     const Entry *findEntry(std::uint64_t region_tag) const;
     std::uint32_t victimWay(std::uint32_t set);
 
-    /** Collect entry i's dirty blocks as writeback addresses. */
-    std::vector<Addr> drainEntry(std::size_t i) const;
+    /** Replace `out` with entry i's dirty blocks as writeback addresses. */
+    void drainEntry(std::size_t i, std::vector<Addr> &out) const;
 
     Entry &at(std::uint32_t set, std::uint32_t way);
     const Entry &at(std::uint32_t set, std::uint32_t way) const;

@@ -203,11 +203,11 @@ DramCache::evictPage(Page &pg, Cycle when)
     if (index) {
         // Exact dirty set from the index; writebacks are row-local by
         // construction (a page never straddles a DDR row).
-        std::vector<Addr> dirty = index->dirtyBlocksInRegion(base);
-        if (!dirty.empty()) {
+        index->dirtyBlocksInRegion(base, indexBlocks);
+        if (!indexBlocks.empty()) {
             ++statDirtyPageEvictions;
         }
-        for (Addr a : dirty) {
+        for (Addr a : indexBlocks) {
             index->clearDirty(a);
             down.write(a, when);
             ++statDdrWrites;
@@ -249,8 +249,8 @@ DramCache::markDirty(Addr block_addr, Cycle when)
     // The index may displace another page's entry: its dirty blocks are
     // written back in one batch (they stay resident, now clean) — the
     // TicToc-style scheduled cleaning the decoupled index enables.
-    std::vector<Addr> spilled = index->setDirty(block_addr);
-    for (Addr a : spilled) {
+    index->setDirty(block_addr, indexBlocks);
+    for (Addr a : indexBlocks) {
         down.write(a, when);
         ++statDdrWrites;
         ++statIndexWbs;
@@ -319,7 +319,8 @@ DramCache::functionalEvictPage(Page &pg)
     const Cycle now = eq.now();
     const Addr base = pg.tag * cfg.pageBytes;
     if (index) {
-        for (Addr a : index->dirtyBlocksInRegion(base)) {
+        index->dirtyBlocksInRegion(base, indexBlocks);
+        for (Addr a : indexBlocks) {
             index->clearDirty(a, /*account=*/false);
             if (obs) {
                 obs->onBlockCleaned(a, now);
@@ -349,9 +350,8 @@ DramCache::functionalMarkDirty(Addr block_addr)
         pg->dirty = true;
         return;
     }
-    std::vector<Addr> spilled = index->setDirty(block_addr,
-                                                /*account=*/false);
-    for (Addr a : spilled) {
+    index->setDirty(block_addr, indexBlocks, /*account=*/false);
+    for (Addr a : indexBlocks) {
         if (obs) {
             obs->onBlockCleaned(a, eq.now());
         }

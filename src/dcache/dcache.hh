@@ -241,6 +241,7 @@ class DramCache : public BackingPort
     std::uint32_t nSets;
     std::vector<Page> pages;         ///< nSets * assoc, set-major
     std::unique_ptr<Dbi> index;      ///< nullptr in tags mode
+    std::vector<Addr> indexBlocks;   ///< index listing scratch (reused)
     std::uint64_t useClock = 1;
     DCacheObserver *obs = nullptr;
 };

@@ -11,7 +11,8 @@ DramController::DramController(const DramConfig &config,
     : cfg(config), eq(context.queue()),
       map(config.rowBytes, config.numBanks,
           config.channels ? config.channels : 1),
-      banks(config.numBanks)
+      banks(config.numBanks), readQ(config.numBanks),
+      writeQ(config.numBanks)
 {
     fatal_if(cfg.writeBufEntries == 0, "write buffer needs capacity");
     fatal_if(cfg.drainLowWatermark >= cfg.writeBufEntries,
@@ -68,14 +69,16 @@ DramController::enqueueRead(Addr block_addr, Cycle when, ReadCallback cb)
 {
     Addr a = blockAlign(block_addr);
     // Read-around-write: forward from the write buffer if present.
-    if (writeQAddrs.count(a)) {
+    if (writeQAddrs.contains(a)) {
         ++statForwards;
         Cycle done = when + cfg.ioLatency;
         eq.schedule(done, [cb = std::move(cb), done] { cb(done); },
                     prof::Dram);
         return;
     }
-    readQ.push_back(ReadReq{a, when, std::move(cb)});
+    std::uint32_t b = map.bank(a);
+    readQ.push(ReadQueue::Request{a, when, map.rowId(a), b, std::move(cb)},
+               banks[b].openRow);
     scheduleService(when);
 }
 
@@ -83,11 +86,13 @@ void
 DramController::enqueueWrite(Addr block_addr, Cycle when)
 {
     Addr a = blockAlign(block_addr);
-    if (!writeQAddrs.insert(a).second) {
+    if (!writeQAddrs.insert(a, 0)) {
         ++statCoalesced;
         return;
     }
-    writeQ.push_back(WriteReq{a, when});
+    std::uint32_t b = map.bank(a);
+    writeQ.push(WriteQueue::Request{a, when, map.rowId(a), b, {}},
+                banks[b].openRow);
     if (writeQ.size() >= cfg.writeBufEntries && !drainMode) {
         drainMode = true;
         drainStartAt = std::max(when, eq.now());
@@ -114,29 +119,11 @@ DramController::scheduleService(Cycle when)
     }, prof::Dram);
 }
 
-template <typename Queue>
-int
-DramController::pickFrFcfs(const Queue &q) const
-{
-    // First-Ready (row hit) first; FCFS among equals. The scan stops at
-    // the first row hit — it is the oldest one — and falls back to the
-    // queue head (the oldest request) when no row hits.
-    for (std::size_t i = 0; i < q.size(); ++i) {
-        const auto &bank = banks[map.bank(q[i].addr)];
-        if (bank.openRow >= 0 &&
-            static_cast<std::uint64_t>(bank.openRow) ==
-                map.rowId(q[i].addr)) {
-            return static_cast<int>(i);
-        }
-    }
-    return q.empty() ? -1 : 0;
-}
-
 Cycle
-DramController::issue(Addr addr, bool is_write, Cycle arrive, Cycle now)
+DramController::issue(std::uint32_t bank_idx, std::uint64_t row,
+                      bool is_write, Cycle arrive, Cycle now)
 {
-    Bank &bank = banks[map.bank(addr)];
-    std::uint64_t row = map.rowId(addr);
+    Bank &bank = banks[bank_idx];
 
     bool row_hit = bank.openRow >= 0 &&
                    static_cast<std::uint64_t>(bank.openRow) == row;
@@ -171,6 +158,8 @@ DramController::issue(Addr addr, bool is_write, Cycle arrive, Cycle now)
 
         bank.rowReadyAt = act + static_cast<Cycle>(cfg.tRcd) * cfg.tCkCpu;
         bank.openRow = static_cast<std::int64_t>(row);
+        readQ.rowOpened(bank_idx, row);
+        writeQ.rowOpened(bank_idx, row);
         // tRAS floor for the next precharge.
         bank.prechargeOkAt =
             act + static_cast<Cycle>(cfg.tRas) * cfg.tCkCpu;
@@ -246,12 +235,10 @@ DramController::serviceNext()
     }
 
     if (do_write) {
-        int idx = pickFrFcfs(writeQ);
-        panic_if(idx < 0, "drain with empty write queue");
-        WriteReq req = writeQ[static_cast<std::size_t>(idx)];
-        writeQ.erase(writeQ.begin() + idx);
+        panic_if(writeQ.empty(), "drain with empty write queue");
+        WriteQueue::Request req = writeQ.take(writeQ.pick());
         writeQAddrs.erase(req.addr);
-        issue(req.addr, true, req.arrive, now);
+        issue(req.bank, req.row, true, req.arrive, now);
         if (drainMode) {
             ++drainWrites;
         }
@@ -267,12 +254,11 @@ DramController::serviceNext()
         if (readQ.empty()) {
             return;
         }
-        int idx = pickFrFcfs(readQ);
-        ReadReq req = std::move(readQ[static_cast<std::size_t>(idx)]);
-        readQ.erase(readQ.begin() + idx);
-        Cycle data_end = issue(req.addr, false, req.arrive, now);
+        ReadQueue::Request req = readQ.take(readQ.pick());
+        Cycle data_end = issue(req.bank, req.row, false, req.arrive, now);
         Cycle done = data_end + cfg.ioLatency;
-        eq.schedule(done, [cb = std::move(req.cb), done] { cb(done); },
+        eq.schedule(done,
+                    [cb = std::move(req.payload), done] { cb(done); },
                     prof::Dram);
     }
 

@@ -13,11 +13,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/addr_index.hh"
 #include "common/addr_map.hh"
 #include "common/event_queue.hh"
 #include "common/shard.hh"
@@ -64,6 +64,180 @@ class DramObserver
      */
     virtual void onDrainEnd(Cycle start, Cycle end,
                             std::uint64_t writes) = 0;
+};
+
+/**
+ * One FR-FCFS request queue (the read queue or the write buffer).
+ *
+ * Requests live in a recycled node pool, linked twice: into one list
+ * in arrival order, and into a list per DRAM row (indexed by row id)
+ * holding that row's requests oldest first. Each request's (bank, row)
+ * is decoded once, at push, and each bank remembers the oldest queued
+ * request to its open row. pick() is therefore O(banks) and push(),
+ * take() and rowOpened() are O(1), whatever the queue depth, while
+ * pick() returns exactly what a scan of one arrival-ordered queue
+ * would: the oldest row hit, else the oldest request.
+ */
+template <typename Payload>
+class FrFcfsQueue
+{
+  public:
+    using Index = std::uint32_t;
+    static constexpr Index kNone = ~Index{0};
+
+    struct Request
+    {
+        Addr addr;
+        Cycle arrive;
+        std::uint64_t row;  ///< global row id (DramAddrMap::rowId)
+        std::uint32_t bank;
+        Payload payload;
+    };
+
+    explicit FrFcfsQueue(std::uint32_t num_banks) : hits(num_banks) {}
+
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+
+    /**
+     * Append a request; `open_row` is its bank's open row id (-1 when
+     * the bank is closed).
+     */
+    void
+    push(Request req, std::int64_t open_row)
+    {
+        Index i;
+        if (freeHead != kNone) {
+            i = freeHead;
+            freeHead = nodes[i].next;
+            nodes[i].req = std::move(req);
+        } else {
+            i = static_cast<Index>(nodes.size());
+            nodes.push_back(Node{std::move(req)});
+        }
+        Node &n = nodes[i];
+        n.seq = nextSeq++;
+        n.prev = tail;
+        n.next = kNone;
+        n.nextInRow = kNone;
+        n.lastInRow = i;
+        if (tail != kNone) {
+            nodes[tail].next = i;
+        } else {
+            head = i;
+        }
+        tail = i;
+
+        Index first = rowFirst.find(rowKey(n.req.row));
+        if (first != kNone) {
+            Node &f = nodes[first];
+            nodes[f.lastInRow].nextInRow = i;
+            f.lastInRow = i;
+        } else {
+            rowFirst.insert(rowKey(n.req.row), i);
+            if (open_row >= 0 &&
+                static_cast<std::uint64_t>(open_row) == n.req.row) {
+                setHit(hits[n.req.bank], i);
+            }
+        }
+        ++count;
+    }
+
+    /** The request FR-FCFS serves next. @pre !empty() */
+    Index
+    pick() const
+    {
+        Index best = kNone;
+        std::uint64_t best_seq = kNoSeq;
+        for (const Hit &h : hits) {
+            if (h.seq < best_seq) {
+                best_seq = h.seq;
+                best = h.idx;
+            }
+        }
+        return best != kNone ? best : head;
+    }
+
+    /**
+     * Unlink request i and hand it out; its node is recycled.
+     * @pre i came from pick(), so it is the oldest request to its row.
+     */
+    Request
+    take(Index i)
+    {
+        Node &n = nodes[i];
+        Addr key = rowKey(n.req.row);
+        if (n.nextInRow != kNone) {
+            nodes[n.nextInRow].lastInRow = n.lastInRow;
+            rowFirst.assign(key, n.nextInRow);
+        } else {
+            rowFirst.erase(key);
+        }
+        Hit &h = hits[n.req.bank];
+        if (h.idx == i) {
+            setHit(h, n.nextInRow);
+        }
+        if (n.prev != kNone) {
+            nodes[n.prev].next = n.next;
+        } else {
+            head = n.next;
+        }
+        if (n.next != kNone) {
+            nodes[n.next].prev = n.prev;
+        } else {
+            tail = n.prev;
+        }
+        --count;
+        n.next = freeHead;
+        freeHead = i;
+        return std::move(n.req);
+    }
+
+    /** Bank `bank` opened row `row`: its oldest request becomes the hit. */
+    void
+    rowOpened(std::uint32_t bank, std::uint64_t row)
+    {
+        setHit(hits[bank], rowFirst.find(rowKey(row)));
+    }
+
+  private:
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+
+    struct Node
+    {
+        Request req;
+        std::uint64_t seq = 0;     ///< arrival order within this queue
+        Index prev = kNone;        ///< arrival list
+        Index next = kNone;        ///< arrival list, or the free list
+        Index nextInRow = kNone;   ///< next (younger) request to the row
+        Index lastInRow = kNone;   ///< youngest of the row (first only)
+    };
+
+    /** A bank's oldest queued request to its open row. */
+    struct Hit
+    {
+        Index idx = kNone;
+        std::uint64_t seq = kNoSeq;
+    };
+
+    /** AddrIndex key of a row id (it hashes block numbers). */
+    static Addr rowKey(std::uint64_t row) { return row << kBlockShift; }
+
+    void
+    setHit(Hit &h, Index i)
+    {
+        h.idx = i;
+        h.seq = i != kNone ? nodes[i].seq : kNoSeq;
+    }
+
+    std::vector<Node> nodes;
+    std::vector<Hit> hits;  ///< per bank
+    AddrIndex rowFirst;     ///< row key -> its oldest request
+    Index head = kNone;     ///< oldest request
+    Index tail = kNone;
+    Index freeHead = kNone;
+    std::uint64_t nextSeq = 0;
+    std::size_t count = 0;
 };
 
 /**
@@ -141,18 +315,13 @@ class DramController : public BackingPort
     Counter statCoalesced;    ///< writes merged into an existing entry
 
   private:
-    struct ReadReq
+    /** A write carries nothing beyond its address and arrival. */
+    struct NoPayload
     {
-        Addr addr;
-        Cycle arrive;
-        ReadCallback cb;
     };
 
-    struct WriteReq
-    {
-        Addr addr;
-        Cycle arrive;
-    };
+    using ReadQueue = FrFcfsQueue<ReadCallback>;
+    using WriteQueue = FrFcfsQueue<NoPayload>;
 
     struct Bank
     {
@@ -171,17 +340,14 @@ class DramController : public BackingPort
     /** Close the current drain window and credit statDrainCycles. */
     void endDrain(Cycle now);
 
-    /** FR-FCFS pick from a queue; returns index or -1 if empty. */
-    template <typename Queue>
-    int pickFrFcfs(const Queue &q) const;
-
     /**
      * Issue one request to its bank; returns data-end cycle.
      * @param arrive when the request entered the queue — bank
      *        preparation (precharge/activate) is modeled as starting
      *        while the request waited, so banks overlap bus transfers.
      */
-    Cycle issue(Addr addr, bool is_write, Cycle arrive, Cycle now);
+    Cycle issue(std::uint32_t bank_idx, std::uint64_t row, bool is_write,
+                Cycle arrive, Cycle now);
 
     DramConfig cfg;
     EventQueue &eq;
@@ -196,8 +362,8 @@ class DramController : public BackingPort
     std::uint32_t activateIdx = 0;
     std::uint64_t numActivates = 0;
 
-    std::deque<ReadReq> readQ;
-    std::deque<WriteReq> writeQ;
+    ReadQueue readQ;
+    WriteQueue writeQ;
 
     /**
      * Addresses currently in writeQ (coalescing keeps them distinct).
@@ -205,7 +371,7 @@ class DramController : public BackingPort
      * checks are O(1) instead of scanning the buffer; never iterated,
      * so it cannot perturb determinism.
      */
-    std::unordered_set<Addr> writeQAddrs;
+    AddrIndex writeQAddrs;
     bool drainMode = false;
     Cycle drainStartAt = 0;
     std::uint64_t drainWrites = 0;  ///< writes serviced this window

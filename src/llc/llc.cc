@@ -90,12 +90,12 @@ Llc::functionalAccess(Addr block_addr, std::uint32_t core, bool is_write)
 
     // Demand access: train the predictor with the true outcome, then
     // touch or warm-fill. Misses also warm the level below.
-    bool hit = store.contains(a);
-    lookupPol->recordOutcome(a, core, hit, now);
-    if (hit) {
-        store.touch(a, core);
+    TagStore::Probe p = store.probe(a);
+    lookupPol->recordOutcome(a, core, p.hit, now);
+    if (p.hit) {
+        store.touchSlot(p.slot);
     } else {
-        functionalFill(a, core, false);
+        functionalFill(p, core, false);
         backing.functionalAccess(a, false);
     }
 
@@ -113,20 +113,22 @@ Llc::functionalAccess(Addr block_addr, std::uint32_t core, bool is_write)
 }
 
 void
-Llc::functionalFill(Addr block_addr, std::uint32_t core, bool dirty)
+Llc::functionalFill(const TagStore::Probe &p, std::uint32_t core,
+                    bool dirty)
 {
     Cycle now = eq.now();
-    if (store.contains(block_addr)) {
-        store.touch(block_addr, core);
+    Addr block_addr = p.block;
+    if (p.hit) {
+        store.touchSlot(p.slot);
         if (dirty) {
-            store.markDirty(block_addr);
+            store.setSlotDirty(p.slot, true);
         }
         if (auditor) {
             auditor->onFill(block_addr, dirty, now);
         }
         return;
     }
-    TagStore::Eviction ev = store.insert(block_addr, core, dirty);
+    TagStore::Eviction ev = store.fill(p, core, dirty);
     if (auditor) {
         auditor->onFill(block_addr, dirty, now);
     }
@@ -191,15 +193,15 @@ Llc::normalRead(Addr block_addr, std::uint32_t core, Cycle when,
     Cycle start = occupyPort(when);
     Cycle tag_done = start + cfg.tagLatency;
 
-    bool hit = store.contains(a);
-    lookupPol->recordOutcome(a, core, hit, when);
+    TagStore::Probe p = store.probe(a);
+    lookupPol->recordOutcome(a, core, p.hit, when);
     for (MetadataIndex *m : metaIndexes) {
-        m->onRead(a, core, hit, when);
+        m->onRead(a, core, p.hit, when);
     }
 
-    if (hit) {
+    if (p.hit) {
         ++statDemandHits;
-        store.touch(a, core);
+        store.touchSlot(p.slot);
         Cycle done = tag_done + cfg.dataLatency;
         if constexpr (telemetry::kEnabled) {
             if (telem) {
@@ -252,30 +254,55 @@ void
 Llc::missToDram(Addr block_addr, std::uint32_t core, Cycle when,
                 Callback cb)
 {
-    auto it = pendingReads.find(block_addr);
-    if (it != pendingReads.end()) {
+    std::uint32_t slot = pendingIndex.find(block_addr);
+    if (slot != AddrIndex::kNone) {
         // Merge with the in-flight request for the same block.
-        it->second.cbs.push_back(std::move(cb));
+        pending[slot].cbs.push_back(std::move(cb));
         return;
     }
 
-    Pending p;
+    if (freePending.empty()) {
+        slot = static_cast<std::uint32_t>(pending.size());
+        pending.emplace_back();
+    } else {
+        slot = freePending.back();
+        freePending.pop_back();
+    }
+    Pending &p = pending[slot];
+    p.block = block_addr;
     p.core = core;
+    if (p.cbs.capacity() == 0 && !cbPool.empty()) {
+        p.cbs = std::move(cbPool.back());
+        cbPool.pop_back();
+    }
     p.cbs.push_back(std::move(cb));
-    pendingReads.emplace(block_addr, std::move(p));
+    pendingIndex.insert(block_addr, slot);
 
-    dramRead(block_addr, when, [this, block_addr](Cycle done) {
-        auto pit = pendingReads.find(block_addr);
-        panic_if(pit == pendingReads.end(), "orphan DRAM completion");
-        Pending p = std::move(pit->second);
-        pendingReads.erase(pit);
-        // Fill, then complete all merged requesters.
-        fillBlock(block_addr, p.core, false, done);
-        endAuditOp();
-        for (auto &waiting : p.cbs) {
-            waiting(done);
-        }
-    });
+    dramRead(block_addr, when,
+             [this, slot](Cycle done) { completeMiss(slot, done); });
+}
+
+void
+Llc::completeMiss(std::uint32_t slot, Cycle done)
+{
+    Pending &p = pending[slot];
+    Addr block_addr = p.block;
+    std::uint32_t core = p.core;
+    // Take the requesters out first: they may issue new misses that
+    // reuse this slot.
+    std::vector<Callback> cbs = std::move(p.cbs);
+    p.cbs.clear();
+    bool indexed = pendingIndex.erase(block_addr);
+    panic_if(!indexed, "orphan DRAM completion");
+    freePending.push_back(slot);
+    // Fill, then complete all merged requesters.
+    fillBlock(block_addr, core, false, done);
+    endAuditOp();
+    for (auto &waiting : cbs) {
+        waiting(done);
+    }
+    cbs.clear();
+    cbPool.push_back(std::move(cbs));
 }
 
 Llc::RegionOpResult
@@ -292,8 +319,8 @@ Llc::flushRegion(Addr base, std::uint64_t bytes, Cycle when)
         Addr start = base - base % region_bytes;
         for (Addr r = start; r < base + bytes; r += region_bytes) {
             ++res.lookups;  // the DBI access
-            std::vector<Addr> dirty = index->dirtyBlocksInRegion(r);
-            for (Addr b : dirty) {
+            index->dirtyBlocksInRegion(r, regionDirty);
+            for (Addr b : regionDirty) {
                 if (b < base || b >= base + bytes) {
                     continue;  // outside the requested range
                 }
@@ -340,7 +367,8 @@ Llc::queryRegionDirty(Addr base, std::uint64_t bytes)
         Addr start = base - base % region_bytes;
         for (Addr r = start; r < base + bytes; r += region_bytes) {
             ++res.lookups;  // one DBI access answers the whole region
-            for (Addr b : index->dirtyBlocksInRegion(r)) {
+            index->dirtyBlocksInRegion(r, regionDirty);
+            for (Addr b : regionDirty) {
                 if (b >= base && b < base + bytes) {
                     res.anyDirty = true;
                 }
@@ -383,15 +411,17 @@ Llc::handleEviction(Addr block_addr, bool tag_dirty, Cycle when)
 }
 
 void
-Llc::fillBlock(Addr block_addr, std::uint32_t core, bool dirty, Cycle when)
+Llc::fillBlock(const TagStore::Probe &p, std::uint32_t core, bool dirty,
+               Cycle when)
 {
-    if (store.contains(block_addr)) {
+    Addr block_addr = p.block;
+    if (p.hit) {
         // Already filled by a racing writeback-allocate: promote, and
         // merge the incoming dirty state. Dropping it here would turn a
         // dirty writeback silently clean and lose a memory update.
-        store.touch(block_addr, core);
+        store.touchSlot(p.slot);
         if (dirty) {
-            store.markDirty(block_addr);
+            store.setSlotDirty(p.slot, true);
         }
         if (auditor) {
             auditor->onFill(block_addr, dirty, when);
@@ -401,7 +431,7 @@ Llc::fillBlock(Addr block_addr, std::uint32_t core, bool dirty, Cycle when)
         }
         return;
     }
-    TagStore::Eviction ev = store.insert(block_addr, core, dirty);
+    TagStore::Eviction ev = store.fill(p, core, dirty);
     if (auditor) {
         auditor->onFill(block_addr, dirty, when);
     }

@@ -22,10 +22,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/tag_store.hh"
+#include "common/addr_index.hh"
 #include "common/event_queue.hh"
 #include "common/shard.hh"
 #include "common/stats.hh"
@@ -291,6 +291,13 @@ class Llc : public LlcPort
      * WritebackPolicy, auditor, metadata indexes).
      */
     void fillBlock(Addr block_addr, std::uint32_t core, bool dirty,
+                   Cycle when)
+    {
+        fillBlock(store.probe(block_addr), core, dirty, when);
+    }
+
+    /** fillBlock() reusing the caller's probe of the block's set. */
+    void fillBlock(const TagStore::Probe &p, std::uint32_t core, bool dirty,
                    Cycle when);
 
     /** The non-bypassed read path (tag lookup onward). */
@@ -302,7 +309,8 @@ class Llc : public LlcPort
      * registered-counter traffic; evictions route through the quiet
      * DirtyStore variants and skip the WritebackPolicy.
      */
-    void functionalFill(Addr block_addr, std::uint32_t core, bool dirty);
+    void functionalFill(const TagStore::Probe &p, std::uint32_t core,
+                        bool dirty);
 
     /**
      * Functional writebackToDram(): the auditor sees the block reach
@@ -362,6 +370,9 @@ class Llc : public LlcPort
     void missToDram(Addr block_addr, std::uint32_t core, Cycle when,
                     Callback cb);
 
+    /** The DRAM read of pending slot `slot` completed at `done`. */
+    void completeMiss(std::uint32_t slot, Cycle done);
+
     LlcConfig cfg;
     BackingPort &backing;
     ShardContext ctx;
@@ -376,13 +387,27 @@ class Llc : public LlcPort
     std::unique_ptr<LookupPolicy> lookupPol;
     std::vector<MetadataIndex *> metaIndexes;
 
-    /** Outstanding demand reads: block -> waiting callbacks + owner. */
+    /** An outstanding demand read: its block, owner and requesters. */
     struct Pending
     {
-        std::uint32_t core;
-        std::vector<Callback> cbs;
+        Addr block = kInvalidAddr;
+        std::uint32_t core = 0;
+        std::vector<Callback> cbs;  ///< merged requesters, arrival order
     };
-    std::unordered_map<Addr, Pending> pendingReads;
+
+    /**
+     * Outstanding demand reads as a recycled slot table (the DRAM
+     * completion carries the slot id), indexed by block. Retired
+     * requester lists go to cbPool to keep their capacity, so once the
+     * tables reach their high-water mark a miss allocates nothing.
+     */
+    std::vector<Pending> pending;
+    std::vector<std::uint32_t> freePending;
+    AddrIndex pendingIndex;
+    std::vector<std::vector<Callback>> cbPool;
+
+    /** Region listing scratch for flushRegion/queryRegionDirty. */
+    std::vector<Addr> regionDirty;
 };
 
 } // namespace dbsim

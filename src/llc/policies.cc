@@ -15,11 +15,12 @@ TagDirtyStore::writebackIn(Addr block_addr, std::uint32_t core, Cycle when)
     Cycle start = llc->occupyPort(when);
     Cycle tag_done = start + llc->config().tagLatency;
 
-    if (llc->tags().contains(block_addr)) {
-        llc->tags().markDirty(block_addr);
+    TagStore::Probe p = llc->tags().probe(block_addr);
+    if (p.hit) {
+        llc->tags().setSlotDirty(p.slot, true);
     } else {
         // Writeback-allocate: insert the incoming dirty block.
-        llc->fillBlock(block_addr, core, true, tag_done);
+        llc->fillBlock(p, core, true, tag_done);
     }
 }
 
@@ -28,10 +29,11 @@ TagDirtyStore::functionalWritebackIn(Addr block_addr, std::uint32_t core)
 {
     // writebackIn() minus the port/stat traffic: mark or
     // writeback-allocate dirty.
-    if (llc->tags().contains(block_addr)) {
-        llc->tags().markDirty(block_addr);
+    TagStore::Probe p = llc->tags().probe(block_addr);
+    if (p.hit) {
+        llc->tags().setSlotDirty(p.slot, true);
     } else {
-        llc->functionalFill(block_addr, core, true);
+        llc->functionalFill(p, core, true);
     }
 }
 
@@ -125,13 +127,13 @@ DbiDirtyStore::writebackIn(Addr block_addr, std::uint32_t core, Cycle when)
 
     // 1) Insert/update the block in the cache (never via the tag store's
     //    dirty bit — the DBI is authoritative).
-    if (!llc->tags().contains(block_addr)) {
-        llc->fillBlock(block_addr, core, false, tag_done);
+    if (TagStore::Probe p = llc->tags().probe(block_addr); !p.hit) {
+        llc->fillBlock(p, core, false, tag_done);
     }
 
     // 2) Update the DBI. A DBI eviction writes back the victim entry's
     //    blocks (which remain cached, now clean).
-    std::vector<Addr> drained = index->setDirty(block_addr);
+    index->setDirty(block_addr, drained);
     drainDbiEviction(drained, tag_done);
 }
 
@@ -168,11 +170,10 @@ DbiDirtyStore::functionalWritebackIn(Addr block_addr, std::uint32_t core)
     // Mirror writebackIn(): allocate clean if absent, then mark dirty
     // in the DBI. A DBI eviction still drains its blocks (they become
     // clean), but with no lookups, cycles, or counters accounted.
-    if (!llc->tags().contains(block_addr)) {
-        llc->functionalFill(block_addr, core, false);
+    if (TagStore::Probe p = llc->tags().probe(block_addr); !p.hit) {
+        llc->functionalFill(p, core, false);
     }
-    std::vector<Addr> drained = index->setDirty(block_addr,
-                                                /*account=*/false);
+    index->setDirty(block_addr, drained, /*account=*/false);
     for (Addr b : drained) {
         panic_if(!llc->tags().contains(b),
                  "DBI invariant violated: dirty block %llx not cached",
@@ -380,11 +381,11 @@ DbiAwbPolicy::afterDirtyEviction(Addr block_addr, Cycle when)
     // (Section 3.1, Figure 3). The DBI lists them in one query; tag
     // lookups are spent only on blocks that are actually dirty.
     Dbi &index = *store->dbiIndex();
-    std::vector<Addr> row_dirty = index.dirtyBlocksInRegion(block_addr);
+    index.dirtyBlocksInRegion(block_addr, rowDirty);
     Cycle cursor = when;
     Cycle last = when;
     std::uint64_t burst = 0;
-    for (Addr b : row_dirty) {
+    for (Addr b : rowDirty) {
         if (b == block_addr) {
             continue;
         }

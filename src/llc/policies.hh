@@ -227,6 +227,7 @@ class DbiDirtyStore final : public DirtyStore
 
     DbiConfig cfg;
     std::unique_ptr<Dbi> index;  ///< built at bind() (needs numBlocks)
+    std::vector<Addr> drained;   ///< setDirty() eviction list (reused)
 };
 
 /**
@@ -315,6 +316,7 @@ class DbiAwbPolicy final : public WritebackPolicy
 
   private:
     DbiDirtyStore *store = nullptr;  ///< the bound cache's DBI store
+    std::vector<Addr> rowDirty;      ///< the victim row's list (reused)
 };
 
 /**

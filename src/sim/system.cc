@@ -1,6 +1,8 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -141,6 +143,73 @@ openTraceFile(const std::string &path)
     return std::make_unique<FileTrace>(path);
 }
 
+/**
+ * A read a router has in flight across the fabric. The hop closures
+ * carry only (router, slot id), which fits std::function's inline
+ * buffer, so a round trip neither allocates nor copies the requester's
+ * callback at each hop.
+ */
+struct HopRead
+{
+    Addr block = kInvalidAddr;
+    std::uint32_t core = 0;  ///< requesting core (LLC reads only)
+    std::uint32_t dst = 0;   ///< the shard serving the read
+    std::function<void(Cycle)> cb;
+};
+
+/**
+ * Slot table of HopReads whose entries never move: slot ids index
+ * chunks of doubling size. The serving shard reads a request's fields
+ * while its source shard may be allocating further slots; that is
+ * race-free because a slot is written before the send that publishes
+ * it, read only after the epoch barrier that delivers it, and growth
+ * only ever adds a chunk.
+ */
+class HopSlots
+{
+  public:
+    std::uint32_t
+    acquire()
+    {
+        if (freeIds.empty()) {
+            grow();
+        }
+        std::uint32_t id = freeIds.back();
+        freeIds.pop_back();
+        return id;
+    }
+
+    void release(std::uint32_t id) { freeIds.push_back(id); }
+
+    HopRead &
+    operator[](std::uint32_t id)
+    {
+        // Chunk k holds ids [kBase * (2^k - 1), kBase * (2^(k+1) - 1)).
+        int k = std::bit_width(id / kBase + 1) - 1;
+        return chunks[k][id - kBase * ((1u << k) - 1)];
+    }
+
+  private:
+    static constexpr std::uint32_t kBase = 64;
+
+    void
+    grow()
+    {
+        std::uint32_t k = numChunks++;
+        fatal_if(k == chunks.size(), "too many cross-shard reads in flight");
+        std::uint32_t size = kBase << k;
+        chunks[k] = std::make_unique<HopRead[]>(size);
+        std::uint32_t first = kBase * ((1u << k) - 1);
+        for (std::uint32_t i = size; i-- > 0;) {
+            freeIds.push_back(first + i);
+        }
+    }
+
+    std::array<std::unique_ptr<HopRead[]>, 24> chunks;
+    std::uint32_t numChunks = 0;
+    std::vector<std::uint32_t> freeIds;
+};
+
 } // namespace
 
 /**
@@ -164,25 +233,14 @@ class ShardLlcPort : public LlcPort
     {
         std::uint32_t s = topo.sliceOf(block_addr);
         std::uint32_t dst = topo.partitionOfSlice(s);
-        Llc *llc = slices[s].get();
         if (dst == part) {
-            llc->read(block_addr, core, when, std::move(cb));
+            slices[s]->read(block_addr, core, when, std::move(cb));
             return;
         }
-        ShardFabric *f = &fab;
-        std::uint32_t src = part;
-        f->send(src, dst, when,
-                [llc, block_addr, core, cb = std::move(cb), f, src,
-                 dst](Cycle at) {
-                    llc->read(block_addr, core, at,
-                              [f, src, dst, cb](Cycle done) {
-                                  // Response hop back to the core's
-                                  // shard.
-                                  f->send(dst, src, done, cb,
-                                          "llcReadResp");
-                              });
-                },
-                "llcRead");
+        std::uint32_t id = inflight.acquire();
+        inflight[id] = HopRead{block_addr, core, dst, std::move(cb)};
+        fab.send(part, dst, when,
+                 [this, id](Cycle at) { serveRead(id, at); }, "llcRead");
     }
 
     void
@@ -195,8 +253,19 @@ class ShardLlcPort : public LlcPort
             llc->writeback(block_addr, core, when);
             return;
         }
-        fab.send(part, dst, when, [llc, block_addr, core](Cycle at) {
-            llc->writeback(block_addr, core, at);
+        Addr a = blockAlign(block_addr);
+        if (core < kBlockBytes) {
+            // The core id rides in the block-offset bits, so the closure
+            // fits std::function's inline buffer and the hop allocates
+            // nothing; machines past 64 cores take the wide closure.
+            fab.send(part, dst, when, [llc, wb = a | core](Cycle at) {
+                Addr b = blockAlign(wb);
+                llc->writeback(b, static_cast<std::uint32_t>(wb - b), at);
+            }, "llcWriteback");
+            return;
+        }
+        fab.send(part, dst, when, [llc, a, core](Cycle at) {
+            llc->writeback(a, core, at);
         }, "llcWriteback");
     }
 
@@ -214,10 +283,33 @@ class ShardLlcPort : public LlcPort
     }
 
   private:
+    /** On the slice's shard: look the block up, then hop back. */
+    void
+    serveRead(std::uint32_t id, Cycle at)
+    {
+        const HopRead &h = inflight[id];
+        slices[topo.sliceOf(h.block)]->read(
+            h.block, h.core, at, [this, id](Cycle done) {
+                fab.send(inflight[id].dst, part, done,
+                         [this, id](Cycle t) { finishRead(id, t); },
+                         "llcReadResp");
+            });
+    }
+
+    /** Back on the core's shard: free the slot, answer the core. */
+    void
+    finishRead(std::uint32_t id, Cycle t)
+    {
+        Callback cb = std::move(inflight[id].cb);
+        inflight.release(id);
+        cb(t);
+    }
+
     const ShardTopology &topo;
     ShardFabric &fab;
     const std::vector<std::unique_ptr<Llc>> &slices;
     std::uint32_t part;
+    HopSlots inflight;
 };
 
 /**
@@ -251,23 +343,14 @@ class ShardMemRouter : public BackingPort
     {
         std::uint32_t c = topo.channelOf(block_addr);
         std::uint32_t dst = topo.partitionOfChannel(c);
-        DramController *dc = chans[c].get();
         if (dst == part) {
-            dc->enqueueRead(block_addr, when, std::move(cb));
+            chans[c]->enqueueRead(block_addr, when, std::move(cb));
             return;
         }
-        ShardFabric *f = &fab;
-        std::uint32_t src = part;
-        f->send(src, dst, when,
-                [dc, block_addr, cb = std::move(cb), f, src,
-                 dst](Cycle at) {
-                    dc->enqueueRead(block_addr, at,
-                                    [f, src, dst, cb](Cycle done) {
-                                        f->send(dst, src, done, cb,
-                                                "dramReadResp");
-                                    });
-                },
-                "dramRead");
+        std::uint32_t id = inflight.acquire();
+        inflight[id] = HopRead{block_addr, 0, dst, std::move(cb)};
+        fab.send(part, dst, when,
+                 [this, id](Cycle at) { serveRead(id, at); }, "dramRead");
     }
 
     void
@@ -286,10 +369,33 @@ class ShardMemRouter : public BackingPort
     }
 
   private:
+    /** On the channel's shard: queue the read, then hop back. */
+    void
+    serveRead(std::uint32_t id, Cycle at)
+    {
+        const HopRead &h = inflight[id];
+        chans[topo.channelOf(h.block)]->enqueueRead(
+            h.block, at, [this, id](Cycle done) {
+                fab.send(inflight[id].dst, part, done,
+                         [this, id](Cycle t) { finishRead(id, t); },
+                         "dramReadResp");
+            });
+    }
+
+    /** Back on the slice's shard: free the slot, answer the slice. */
+    void
+    finishRead(std::uint32_t id, Cycle t)
+    {
+        ReadCallback cb = std::move(inflight[id].cb);
+        inflight.release(id);
+        cb(t);
+    }
+
     const ShardTopology &topo;
     ShardFabric &fab;
     const std::vector<std::unique_ptr<DramController>> &chans;
     std::uint32_t part;
+    HopSlots inflight;
 };
 
 /**
@@ -756,26 +862,30 @@ System::runSharded()
     // nothing a concurrent shard does this epoch can affect another
     // until after the barrier. See common/shard.hh.
     Cycle epoch_base = 0;
+    Cycle limit = 0;
+    // Built once, not per epoch: the closure is too big for
+    // std::function's inline buffer.
+    const std::function<void(std::uint32_t)> epoch = [&](std::uint32_t w) {
+        // Static shard->worker assignment; any assignment yields the
+        // same simulation, this one just balances load.
+        for (std::uint32_t p = w; p < P; p += pool.count()) {
+            if (profiler) {
+                const std::uint64_t b = prof::nowNs();
+                runShardEpoch(p, limit);
+                spans[p].beginNs = b;
+                spans[p].endNs = prof::nowNs();
+            } else {
+                runShardEpoch(p, limit);
+            }
+        }
+    };
     for (;;) {
         fatal_if(epoch_base > cfg.maxCycles,
                  "simulation exceeded %llu cycles: likely deadlock",
                  static_cast<unsigned long long>(cfg.maxCycles));
-        const Cycle limit = epoch_base + W - 1;
+        limit = epoch_base + W - 1;
         const std::uint64_t iter_begin = profiler ? prof::nowNs() : 0;
-        pool.run([&](std::uint32_t w) {
-            // Static shard->worker assignment; any assignment yields
-            // the same simulation, this one just balances load.
-            for (std::uint32_t p = w; p < P; p += pool.count()) {
-                if (profiler) {
-                    const std::uint64_t b = prof::nowNs();
-                    runShardEpoch(p, limit);
-                    spans[p].beginNs = b;
-                    spans[p].endNs = prof::nowNs();
-                } else {
-                    runShardEpoch(p, limit);
-                }
-            }
-        });
+        pool.run(epoch);
         if (profiler) {
             const std::uint64_t d0 = prof::nowNs();
             fab->deliverAll(queuePtrs);

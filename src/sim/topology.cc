@@ -26,6 +26,11 @@ resolveTopology(const TopologySpec &spec)
 {
     fatal_if(spec.numCores == 0, "need at least one core");
 
+    fatal_if(!isPowerOf2(spec.rowBytes) || spec.rowBytes < kBlockBytes,
+             "dram.rowBytes (%llu) must be a power-of-two multiple of the "
+             "block size",
+             static_cast<unsigned long long>(spec.rowBytes));
+
     ShardTopology t;
     t.rowBytes = spec.rowBytes;
 

@@ -23,6 +23,7 @@
 #ifndef DBSIM_SIM_TOPOLOGY_HH
 #define DBSIM_SIM_TOPOLOGY_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -64,18 +65,23 @@ struct ShardTopology
 
     bool sharded() const { return partitions > 1; }
 
+    // slices, channels and rowBytes are validated powers of two (see
+    // resolveTopology), so routing is a shift and a mask.
+
     /** LLC slice owning the address (DRAM-row interleaved). */
     std::uint32_t
     sliceOf(Addr addr) const
     {
-        return static_cast<std::uint32_t>((addr / rowBytes) % slices);
+        return static_cast<std::uint32_t>(
+            (addr >> std::countr_zero(rowBytes)) & (slices - 1));
     }
 
     /** DRAM channel owning the address (DRAM-row interleaved). */
     std::uint32_t
     channelOf(Addr addr) const
     {
-        return static_cast<std::uint32_t>((addr / rowBytes) % channels);
+        return static_cast<std::uint32_t>(
+            (addr >> std::countr_zero(rowBytes)) & (channels - 1));
     }
 
     std::uint32_t partitionOfSlice(std::uint32_t s) const { return s; }

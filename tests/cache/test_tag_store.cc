@@ -85,6 +85,55 @@ TEST(TagStore, InsertWithDirtyFlag)
     EXPECT_EQ(ts.countDirty(), 1u);
 }
 
+TEST(TagStore, ProbeReportsHitSlotOrFillSlot)
+{
+    TagStore ts(smallLru());
+    ts.insert(addrForSet(2, 0), 0, false);
+    ts.insert(addrForSet(2, 1), 0, false);
+    ts.invalidate(addrForSet(2, 0));  // a hole before a resident block
+
+    TagStore::Probe hit = ts.probe(addrForSet(2, 1) + 8);
+    EXPECT_TRUE(hit.hit);
+    EXPECT_EQ(hit.block, addrForSet(2, 1));
+    EXPECT_EQ(ts.blockAt(hit.slot), addrForSet(2, 1));
+
+    // A miss names the first free way, even ahead of a resident block.
+    TagStore::Probe miss = ts.probe(addrForSet(2, 2));
+    EXPECT_FALSE(miss.hit);
+    EXPECT_EQ(miss.slot, ts.slotOf(2, 0));
+    ts.fill(miss, 0, true);
+    EXPECT_EQ(ts.blockAt(ts.slotOf(2, 0)), addrForSet(2, 2));
+    EXPECT_TRUE(ts.isDirty(addrForSet(2, 2)));
+
+    ts.insert(addrForSet(2, 3), 0, false);
+    ts.insert(addrForSet(2, 4), 0, false);
+    EXPECT_EQ(ts.probe(addrForSet(2, 5)).slot, TagStore::kNoSlot);  // full
+}
+
+TEST(TagStoreDeathTest, InsertOfResidentBlockPanics)
+{
+    // The resident-block check shares insert()'s single set scan; a
+    // duplicate insert must still stop the simulator, including when
+    // the copy sits behind a free way.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            TagStore ts(smallLru());
+            ts.insert(0x5000, 0, false);
+            ts.insert(0x5000 + 8, 0, false);
+        },
+        "insert of resident block 5000");
+    EXPECT_DEATH(
+        {
+            TagStore ts(smallLru());
+            ts.insert(addrForSet(6, 0), 0, false);
+            ts.insert(addrForSet(6, 1), 0, false);
+            ts.invalidate(addrForSet(6, 0));
+            ts.insert(addrForSet(6, 1), 0, false);
+        },
+        "insert of resident block");
+}
+
 TEST(TagStore, InvalidateRemoves)
 {
     TagStore ts(smallLru());
