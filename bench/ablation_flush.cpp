@@ -23,19 +23,16 @@ exp::SweepSpec
 buildSpec(const bench::HarnessOptions &o)
 {
     std::string bench_name = o.posOr(0, "lbm");
-    std::uint64_t warmup = o.warmupOr(1'500'000);
-    std::uint64_t measure = o.measureOr(500'000);
-    std::uint64_t seed = o.seed;
+    SystemConfig cfg;
+    cfg.seed = o.seed;
+    cfg.core.warmupInstrs = o.warmupOr(1'500'000);
+    cfg.core.measureInstrs = o.measureOr(500'000);
 
     exp::SweepSpec spec;
     for (Mechanism m : {Mechanism::TaDip, Mechanism::DbiAwb}) {
-        auto &pt = spec.addCustom([m, bench_name, warmup, measure,
-                                   seed](exp::PointRecord &rec) {
-            SystemConfig cfg;
-            cfg.mech = m;
-            cfg.seed = seed;
-            cfg.core.warmupInstrs = warmup;
-            cfg.core.measureInstrs = measure;
+        cfg.mech = m;
+        auto &pt = spec.addCustom(cfg, [bench_name](const SystemConfig &cfg,
+                                                    exp::PointRecord &rec) {
             System sys(cfg, {bench_name});
             sys.run();
 
@@ -50,7 +47,7 @@ buildSpec(const bench::HarnessOptions &o)
             // ...then flush the same span.
             auto flush = llc.flushRegion(base, span, 0);
 
-            rec.mechanism = mechanismName(m);
+            rec.mechanism = cfg.mech.label;
             rec.mix = bench_name;
             rec.stats["flushLookups"] = flush.lookups;
             rec.stats["flushWritebacks"] = flush.writebacks;

@@ -50,17 +50,9 @@ buildSpec(const bench::HarnessOptions &o)
         mix.push_back(mix.back());
     }
 
-    // Custom points build their own System, so the harness telemetry,
-    // machine-shape, and profiling flags are applied here rather than
-    // by the runner/overrideConfigs (which only reach Sim points).
-    cfg.telemetry = o.telemetryConfig("diag_run");
-    o.applySharding(cfg);
-    o.applyDCache(cfg);
-    o.applyTrace(cfg);
-    cfg.profile = o.profile;
-
     exp::SweepSpec spec;
-    spec.addCustom([cfg, mix](exp::PointRecord &rec) {
+    spec.addCustom(cfg, [mix](const SystemConfig &cfg,
+                              exp::PointRecord &rec) {
         System sys(cfg, mix);
         SimResult r = sys.run();
 

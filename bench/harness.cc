@@ -44,8 +44,7 @@ printUsage(const char *argv0)
                 "        [--trace FILE] [--ff N] [--sample-ops W] "
                 "[--period P]\n"
                 "        [--sample N] [--timeseries FILE]\n"
-                "        [--trace-out FILE] [--hist] [--host-timers] "
-                "[--profile]\n"
+                "        [--trace-out FILE] [--hist] [--profile]\n"
                 "        [--cache-dir DIR] [--no-cache] [--no-resume]\n"
                 "        [--no-progress] [--list] [--help]\n\n"
                 "experiments in this binary:\n",
@@ -259,8 +258,6 @@ harnessMain(int argc, char **argv)
             ++i;
         } else if (std::strcmp(arg, "--hist") == 0) {
             opts.histograms = true;
-        } else if (std::strcmp(arg, "--host-timers") == 0) {
-            opts.hostTimers = true;
         } else if (std::strcmp(arg, "--profile") == 0) {
             opts.profile = true;
         } else if (std::strcmp(arg, "--cache-dir") == 0) {
@@ -305,7 +302,6 @@ harnessMain(int argc, char **argv)
         run_opts.experiment = e.name;
         run_opts.auditEvery = opts.auditEvery;
         run_opts.telemetry = opts.telemetryConfig(e.name);
-        run_opts.hostTimers = opts.hostTimers;
         run_opts.profile = opts.profile;
         run_opts.cacheDir = opts.cacheDir;
         run_opts.resume = opts.resume;

@@ -75,17 +75,17 @@
  *           [--hist]                  latency/drain/dirty-row histograms
  *                                     (summaries land in the JSONL
  *                                     records as hist.* metrics)
- *           [--host-timers]           per-point wall-clock phase timings
- *                                     in the JSONL records ("host" key;
- *                                     non-deterministic, hence opt-in)
  *           [--profile]               host profiler: attribute wall time
  *                                     per shard to dispatch-by-component
  *                                     vs fabric drain vs barrier stall;
  *                                     prints a table per point and lands
  *                                     in the JSONL "host" key as
- *                                     profile.* (simulated results stay
+ *                                     profile.*, next to the point's
+ *                                     wall-clock phases (buildMs/runMs/
+ *                                     collectMs, or evalMs for custom
+ *                                     points); simulated results stay
  *                                     bit-identical; the run bypasses
- *                                     the result cache)
+ *                                     the result cache
  *           [--cache-dir DIR]         persistent content-hash result
  *                                     cache: points already computed
  *                                     under this build (by any bench)
@@ -157,14 +157,12 @@ struct HarnessOptions
     /** Apply the trace/sampling flags (those given) to `cfg`. */
     void applyTrace(SystemConfig &cfg) const;
 
-    /** --host-timers: wall-clock phase timings in the JSONL records. */
-    bool hostTimers = false;
-
     /**
-     * --profile: attach the host profiler to every simulated point and
-     * print its attribution table after the experiment's own table.
-     * Profiled sweeps bypass the result cache (profiling is an
-     * observer, never part of a point's identity).
+     * --profile: attach the host profiler to every point, record the
+     * per-point wall-clock phases, and print the attribution table
+     * after the experiment's own table. Profiled sweeps bypass the
+     * result cache (profiling is an observer, never part of a point's
+     * identity).
      */
     bool profile = false;
 

@@ -149,9 +149,9 @@ addIngestPoint(exp::SweepSpec &spec, const bench::HarnessOptions &o)
     cfg.numCores = 1;
     cfg.core.warmupInstrs = o.warmupOr(200'000);
     cfg.core.measureInstrs = o.measureOr(800'000);
-    cfg.auditEvery = o.auditEvery;
 
-    auto &pt = spec.addCustom([cfg](exp::PointRecord &rec) {
+    auto &pt = spec.addCustom(cfg, [](const SystemConfig &cfg,
+                                      exp::PointRecord &rec) {
         // Deterministic throwaway trace: same bytes every run.
         const std::string path =
             (std::filesystem::temp_directory_path() /
@@ -274,7 +274,6 @@ buildSpec(const bench::HarnessOptions &o)
         cfg.seed = o.seed;
         cfg.core.warmupInstrs = o.warmupOr(1'000'000);
         cfg.core.measureInstrs = o.measureOr(4'000'000);
-        cfg.auditEvery = o.auditEvery;
         cfg.mech = o.mechOr(mechanismByName(point.mechSpec));
         cfg.numCores = point.cores;
         cfg.llcSlices = point.slices;
@@ -291,7 +290,8 @@ buildSpec(const bench::HarnessOptions &o)
         }
         WorkloadMix mix = point.mix;
 
-        auto &pt = spec.addCustom([cfg, mix](exp::PointRecord &rec) {
+        auto &pt = spec.addCustom(cfg, [mix](const SystemConfig &cfg,
+                                             exp::PointRecord &rec) {
             using clock = std::chrono::steady_clock;
             double best_sec = 0.0;
             std::uint64_t events = 0;

@@ -163,7 +163,8 @@ buildSpec(const bench::HarnessOptions &)
 {
     exp::SweepSpec spec;
     for (const auto &micro : kMicros) {
-        auto &pt = spec.addCustom([&micro](exp::PointRecord &rec) {
+        auto &pt = spec.addCustom({}, [&micro](const SystemConfig &,
+                                               exp::PointRecord &rec) {
             rec.mechanism = "micro";
             rec.mix = micro.name;
             rec.metrics["nsPerOp"] = micro.run();

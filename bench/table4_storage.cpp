@@ -24,7 +24,8 @@ buildSpec(const bench::HarnessOptions &)
 {
     exp::SweepSpec spec;
     for (double alpha : {0.25, 0.5}) {
-        auto &pt = spec.addCustom([alpha](exp::PointRecord &rec) {
+        auto &pt = spec.addCustom({}, [alpha](const SystemConfig &,
+                                              exp::PointRecord &rec) {
             rec.mechanism = "DBI";
             rec.mix = "analytic";
 

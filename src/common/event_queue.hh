@@ -98,7 +98,7 @@ class EventQueue
         EventNode *n = allocNode();
         ::new (static_cast<void *>(n->storage)) Fn(std::forward<F>(fn));
         n->ops = &CbOpsFor<Fn>::ops;
-#ifdef DBSIM_PROFILE
+#ifdef DBSIM_TELEMETRY
         // Fold the component tag into the free low bits of the vtable
         // pointer — but only when profiling, so unprofiled runs never
         // carry (or need to strip) a tag.
@@ -167,7 +167,7 @@ class EventQueue
         active->head = n->next;
         --numPending;
         ++numDispatched;
-#ifdef DBSIM_PROFILE
+#ifdef DBSIM_TELEMETRY
         if (prof_) {
             const auto raw = reinterpret_cast<std::uintptr_t>(n->ops);
             const CbOps *ops =
@@ -229,12 +229,12 @@ class EventQueue
      * profile. Must be called before any event is scheduled and never
      * mid-run: tag bits are written at schedule time based on whether a
      * profile is attached, so toggling with events pending would strip
-     * or misread tags. No-op in DBSIM_PROFILE=OFF builds.
+     * or misread tags. No-op in DBSIM_TELEMETRY=OFF builds.
      */
     void
     attachProfile(prof::QueueProfile *profile)
     {
-#ifdef DBSIM_PROFILE
+#ifdef DBSIM_TELEMETRY
         panic_if(numPending != 0,
                  "attachProfile with %zu events pending", numPending);
         prof_ = profile;
@@ -388,7 +388,7 @@ class EventQueue
     static const CbOps *
     opsOf(const EventNode *n)
     {
-#ifdef DBSIM_PROFILE
+#ifdef DBSIM_TELEMETRY
         return reinterpret_cast<const CbOps *>(
             reinterpret_cast<std::uintptr_t>(n->ops) & ~prof::kCompMask);
 #else
@@ -418,7 +418,7 @@ class EventQueue
     Bucket *active = nullptr;     ///< bucket currently dispatching
     std::vector<CacheSlot> cache;
 
-#ifdef DBSIM_PROFILE
+#ifdef DBSIM_TELEMETRY
     prof::QueueProfile *prof_ = nullptr;  ///< per-component dispatch times
 #endif
 

@@ -16,7 +16,7 @@
  * tagged component. With no profile attached the tag bits are never
  * written, so the mask is a no-op and the dispatch path is one
  * predictable branch away from the unprofiled build; with
- * DBSIM_PROFILE off the hooks compile away entirely.
+ * DBSIM_TELEMETRY off the hooks compile away entirely.
  */
 
 #ifndef DBSIM_COMMON_PROF_HH
@@ -28,7 +28,7 @@
 
 namespace dbsim::prof {
 
-#ifdef DBSIM_PROFILE
+#ifdef DBSIM_TELEMETRY
 inline constexpr bool kEnabled = true;
 #else
 inline constexpr bool kEnabled = false;

@@ -3,9 +3,9 @@
  * Minimal JSON support for the experiment runner's JSON Lines files.
  * Emission: string escaping and round-trippable, locale-independent
  * number formatting. Parsing: a strict recursive-descent parser (no
- * extensions, whole-text single value) used by the result cache, the
- * checkpoint manifests, and the farm service — everything that must
- * re-read what the sink wrote. No DOM beyond JsonValue.
+ * extensions, whole-text single value) used by the result cache and
+ * the checkpoint manifests — everything that must re-read what the
+ * sink wrote. No DOM beyond JsonValue.
  */
 
 #ifndef DBSIM_EXP_JSON_HH

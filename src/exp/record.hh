@@ -45,11 +45,15 @@ struct PointRecord
     std::map<std::string, std::uint64_t> stats;
 
     /**
-     * Host-side wall-clock phase timings in milliseconds (build / run /
-     * collect), filled only when RunOptions::hostTimers is on. Kept out
-     * of `metrics` and serialized under a separate "host" key (omitted
-     * when empty) because wall-clock values are non-deterministic: the
-     * default record stays bit-identical across --jobs and machines.
+     * Host-side wall-clock measurements, filled by the runner only
+     * when RunOptions::profile is on (--profile): the point's phase
+     * timings in milliseconds (buildMs / runMs / collectMs for
+     * simulated points, evalMs for Custom ones) and the host
+     * profiler's attribution under "profile.*" keys (a Custom point
+     * copies its own System's). Kept out of `metrics` and serialized
+     * under a separate "host" key (omitted when empty) because
+     * wall-clock values are non-deterministic: the default record
+     * stays bit-identical across --jobs and machines.
      */
     std::map<std::string, double> host;
 

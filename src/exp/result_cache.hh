@@ -15,9 +15,8 @@
  * collisions and stale entries degrade to misses, never wrong results.
  * Corrupted or truncated shard lines are skipped and recomputed.
  *
- * The cache is thread-safe and shareable: the ExperimentRunner opens
- * one per run (--cache-dir), while the farm service keeps a single
- * warm instance across every client and sweep.
+ * The cache is thread-safe: the ExperimentRunner opens one per run
+ * (--cache-dir) and shares it among its worker threads.
  */
 
 #ifndef DBSIM_EXP_RESULT_CACHE_HH

@@ -51,11 +51,26 @@ evalPoint(const SweepPoint &p, const RunOptions &opts,
     rec.experiment = opts.experiment;
     rec.tags = p.tags;
 
+    // The audit period and the observers reach every point's config
+    // the same way, Custom points included.
+    SystemConfig cfg = p.cfg;
+    if (opts.auditEvery) {
+        cfg.auditEvery = *opts.auditEvery;
+    }
+    if (opts.telemetry.enabled()) {
+        cfg.telemetry = total_points > 1
+                            ? opts.telemetry.withPointSuffix(p.index)
+                            : opts.telemetry;
+    }
+    if (opts.profile) {
+        cfg.profile = true;
+    }
+
     switch (p.kind) {
       case PointKind::Custom: {
         auto t0 = HostClock::now();
-        p.custom(rec);
-        if (opts.hostTimers) {
+        p.custom(cfg, rec);
+        if (opts.profile) {
             rec.host["evalMs"] = msSince(t0, HostClock::now());
         }
         break;
@@ -64,18 +79,6 @@ evalPoint(const SweepPoint &p, const RunOptions &opts,
       case PointKind::MixSim: {
         rec.mechanism = p.cfg.mech.label;
         rec.mix = mixLabel(p.mix);
-        SystemConfig cfg = p.cfg;
-        if (opts.auditEvery) {
-            cfg.auditEvery = *opts.auditEvery;
-        }
-        if (opts.telemetry.enabled()) {
-            cfg.telemetry = total_points > 1
-                                ? opts.telemetry.withPointSuffix(p.index)
-                                : opts.telemetry;
-        }
-        if (opts.profile) {
-            cfg.profile = true;
-        }
         auto t0 = HostClock::now();
         System sys(cfg, p.mix);
         auto t_built = HostClock::now();
@@ -103,13 +106,14 @@ evalPoint(const SweepPoint &p, const RunOptions &opts,
                 harmonicSpeedup(r.ipc, alone_ipcs);
             rec.metrics["maxSlowdown"] = maxSlowdown(r.ipc, alone_ipcs);
         }
-        if (opts.hostTimers) {
+        // Phase timings and profiler attribution ride in the host
+        // map: wall-clock derived, so they stay out of the
+        // deterministic metrics.
+        if (opts.profile) {
             rec.host["buildMs"] = msSince(t0, t_built);
             rec.host["runMs"] = msSince(t_built, t_ran);
             rec.host["collectMs"] = msSince(t_ran, HostClock::now());
         }
-        // Host-profiler attribution rides in the host map: wall-clock
-        // derived, so it must stay out of the deterministic metrics.
         for (const auto &[k, v] : r.hostProfile) {
             rec.host["profile." + k] = v;
         }
@@ -140,21 +144,17 @@ ExperimentRunner::run(const SweepSpec &spec)
         alone = std::make_unique<AloneIpcCache>(alone_base);
     }
 
-    // The content cache: a shared warm instance (the farm service) or
-    // one owned by this run. Telemetry-enabled sweeps bypass entirely —
-    // a cache hit would skip producing the side artifacts.
-    std::unique_ptr<ResultCache> ownedCache;
-    ResultCache *cache = opts.cache;
-    if (!cache && !opts.cacheDir.empty()) {
-        ownedCache = std::make_unique<ResultCache>(opts.cacheDir);
-        cache = ownedCache.get();
+    // The content cache, owned by this run.
+    std::unique_ptr<ResultCache> cache;
+    if (!opts.cacheDir.empty()) {
+        cache = std::make_unique<ResultCache>(opts.cacheDir);
     }
     const SystemConfig aloneCanonBase = spec.aloneBase();
     auto cacheable = [&](const SweepPoint &p) {
         // Observers (telemetry, profiling) bypass: a hit would skip
         // producing their side artifacts, and profiled host times must
         // always be fresh measurements.
-        return cache != nullptr && p.kind != PointKind::Custom &&
+        return cache && p.kind != PointKind::Custom &&
                !opts.telemetry.enabled() && !opts.profile;
     };
 
@@ -206,17 +206,14 @@ ExperimentRunner::run(const SweepSpec &spec)
         ++completed;
         ++timed;
         pointSecondsSum += point_seconds;
-        if (opts.onRecord) {
-            opts.onRecord(rec);
-        }
         if (opts.progress) {
             progressLine();
         }
     };
 
     // Restore checkpointed points: their lines are already on disk in
-    // their original bytes, so they are counted, streamed, and used to
-    // warm the content cache, but never re-appended.
+    // their original bytes, so they are counted and used to warm the
+    // content cache, but never re-appended.
     std::vector<const SweepPoint *> todo;
     todo.reserve(points.size());
     for (const auto &p : points) {
@@ -232,11 +229,7 @@ ExperimentRunner::run(const SweepSpec &spec)
             std::string canon = canonicalPoint(p, aloneCanonBase);
             cache->insert(fnv1a64(canon), canon, *prev);
         }
-        std::lock_guard<std::mutex> lock(sinkMu);
         ++completed;
-        if (opts.onRecord) {
-            opts.onRecord(records[p.index]);
-        }
     }
     if (opts.progress && last.resumedPoints > 0) {
         inform("resumed %zu/%zu points from %s", last.resumedPoints,

@@ -15,7 +15,6 @@
 #define DBSIM_EXP_RUNNER_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,14 +43,15 @@ struct RunOptions
     std::string experiment;
 
     /**
-     * When set, overrides SystemConfig::auditEvery on every point (and
-     * on the alone-IPC baseline runs). The bench harness passes 0 here
-     * so measurement runs never audit; tests can force auditing on.
+     * When set, overrides SystemConfig::auditEvery on every point,
+     * Custom points included (and on the alone-IPC baseline runs).
+     * The bench harness passes 0 here so measurement runs never
+     * audit; tests can force auditing on.
      */
     std::optional<std::uint64_t> auditEvery;
 
     /**
-     * Telemetry applied to every simulated point (sampler / histograms
+     * Telemetry applied to every point's config (sampler / histograms
      * / trace; see telemetry::TelemetryConfig). In sweeps with more
      * than one point, output file names get a ".pt<index>" suffix so
      * points never clobber each other. Alone-IPC baseline runs are
@@ -62,20 +62,17 @@ struct RunOptions
     telemetry::TelemetryConfig telemetry;
 
     /**
-     * Measure wall-clock build/run/collect phases per point and attach
-     * them to the record's `host` map ("host" key in the JSONL). Off by
-     * default: host timings are non-deterministic and would break
-     * record bit-identity across machines and runs.
-     */
-    bool hostTimers = false;
-
-    /**
-     * Run every simulated point with the host profiler attached
-     * (SystemConfig::profile) and surface its attribution in the
-     * record's `host` map under "profile.*" keys. Like telemetry,
-     * profiling is an observer, never a cache key: profiled sweeps
-     * bypass the result cache (a hit would skip producing the profile,
-     * and profiled wall times must never be served as cached "facts").
+     * Run every point with the host profiler attached
+     * (SystemConfig::profile; Custom points get it in the config they
+     * are handed) and fill the record's `host` map: the profiler's
+     * attribution under "profile.*" keys, plus the point's wall-clock
+     * phases in milliseconds — buildMs/runMs/collectMs for simulated
+     * points, evalMs for Custom ones. Off by default: host timings are
+     * non-deterministic and would break record bit-identity across
+     * machines and runs. Like telemetry, profiling is an observer,
+     * never a cache key: profiled sweeps bypass the result cache (a
+     * hit would skip producing the timings, and wall times must never
+     * be served as cached "facts").
      */
     bool profile = false;
 
@@ -84,16 +81,11 @@ struct RunOptions
      * default) disables caching. Sim/MixSim points whose canonical
      * content was computed before — in any previous run of any bench
      * under the same build — are filled from the store without
-     * building a System. Custom points and telemetry-enabled sweeps
-     * bypass the cache (counted in RunStats::cache.bypasses).
+     * building a System. Custom points and telemetry-enabled or
+     * profiled sweeps bypass the cache (counted in
+     * RunStats::cache.bypasses).
      */
     std::string cacheDir;
-
-    /**
-     * A shared, already-open cache (the farm service's warm instance).
-     * Not owned; overrides cacheDir when set.
-     */
-    ResultCache *cache = nullptr;
 
     /**
      * Resume an interrupted sweep: when jsonlPath's `.manifest`
@@ -102,14 +94,6 @@ struct RunOptions
      * a fresh sweep simply finds no matching manifest.
      */
     bool resume = true;
-
-    /**
-     * Streaming sink: called under the runner's sink lock for every
-     * record as it becomes available (resumed, cache-hit, or freshly
-     * computed). The farm service uses this to stream results to
-     * clients; completion order is nondeterministic with jobs > 1.
-     */
-    std::function<void(const PointRecord &)> onRecord;
 };
 
 /** What one ExperimentRunner::run() did, beyond the records. */

@@ -30,10 +30,13 @@ SweepSpec::addMixSim(const MechanismSpec &mech, WorkloadMix mix)
 }
 
 SweepPoint &
-SweepSpec::addCustom(std::function<void(PointRecord &)> fn)
+SweepSpec::addCustom(
+    SystemConfig cfg,
+    std::function<void(const SystemConfig &, PointRecord &)> fn)
 {
     SweepPoint p;
     p.kind = PointKind::Custom;
+    p.cfg = std::move(cfg);
     p.custom = std::move(fn);
     return append(std::move(p));
 }
@@ -91,9 +94,7 @@ SweepSpec::overrideConfigs(const std::function<void(SystemConfig &)> &fn)
     fn(baseCfg);
     fn(aloneCfg);
     for (SweepPoint &p : pts) {
-        if (p.kind != PointKind::Custom) {
-            fn(p.cfg);
-        }
+        fn(p.cfg);
     }
 }
 

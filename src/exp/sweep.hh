@@ -35,7 +35,11 @@ struct SweepPoint
     std::size_t index = 0;
     PointKind kind = PointKind::Sim;
 
-    /** Full system config for Sim/MixSim points (mechanism included). */
+    /**
+     * Full system config (mechanism included). Custom points receive
+     * it, with the runner's audit/observer options applied, as their
+     * callback's first argument.
+     */
     SystemConfig cfg;
 
     /** One benchmark per core for Sim/MixSim points. */
@@ -45,7 +49,7 @@ struct SweepPoint
     std::map<std::string, std::string> tags;
 
     /** Evaluator for Custom points. */
-    std::function<void(PointRecord &)> custom;
+    std::function<void(const SystemConfig &, PointRecord &)> custom;
 };
 
 /**
@@ -85,8 +89,15 @@ class SweepSpec
     /** Add one multi-core-metrics point; returns it for edits. */
     SweepPoint &addMixSim(const MechanismSpec &mech, WorkloadMix mix);
 
-    /** Add a point evaluated by `fn`; returns it for tag edits. */
-    SweepPoint &addCustom(std::function<void(PointRecord &)> fn);
+    /**
+     * Add a point evaluated by `fn` on `cfg`; returns it for tag
+     * edits. Points that simulate should build their System from the
+     * config `fn` is handed, so harness flags reach them exactly as
+     * they reach Sim points.
+     */
+    SweepPoint &addCustom(
+        SystemConfig cfg,
+        std::function<void(const SystemConfig &, PointRecord &)> fn);
 
     /**
      * Cartesian product: one point per (override per axis) x mechanism
@@ -102,9 +113,10 @@ class SweepSpec
 
     /**
      * Apply `fn` to every config the spec embeds: base, alone-base,
-     * and each already-added point's. The harness's machine-shape
-     * flags (--shards/--slices/--channels/--hop) go through here so
-     * every experiment honors them without per-bench plumbing.
+     * and each already-added point's, Custom points included. The
+     * harness's machine-shape flags (--shards/--slices/--channels/
+     * --hop, --dcache*, --trace and sampling) go through here so every
+     * experiment honors them without per-bench plumbing.
      */
     void overrideConfigs(const std::function<void(SystemConfig &)> &fn);
 

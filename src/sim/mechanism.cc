@@ -173,22 +173,11 @@ mechanismHelp()
            "state per-slice.";
 }
 
-/**
- * Internal parse-failure signal. Thrown by the parsing helpers and
- * caught at the public API boundary: mechanismByName() turns it into
- * the historical fatal(), tryMechanismByName() into std::nullopt — the
- * farm service must survive a bad spec in a request.
- */
-struct BadMechanism
-{
-    std::string message;
-};
-
 [[noreturn]] void
 badMechanism(const std::string &name, const std::string &why)
 {
-    throw BadMechanism{why + " mechanism '" + name + "'\n" +
-                       mechanismHelp()};
+    fatal("%s mechanism '%s'\n%s", why.c_str(), name.c_str(),
+          mechanismHelp().c_str());
 }
 
 /** Parse a composed '+'-token spec (the name is not a preset). */
@@ -304,29 +293,7 @@ mechanismByName(const std::string &name)
             return mechanismSpec(m);
         }
     }
-    try {
-        return parseComposedSpec(name);
-    } catch (const BadMechanism &e) {
-        fatal("%s", e.message.c_str());
-    }
-}
-
-std::optional<MechanismSpec>
-tryMechanismByName(const std::string &name, std::string *why)
-{
-    for (Mechanism m : allMechanisms()) {
-        if (name == mechanismName(m)) {
-            return mechanismSpec(m);
-        }
-    }
-    try {
-        return parseComposedSpec(name);
-    } catch (const BadMechanism &e) {
-        if (why) {
-            *why = e.message;
-        }
-        return std::nullopt;
-    }
+    return parseComposedSpec(name);
 }
 
 Mechanism
@@ -337,11 +304,7 @@ mechanismPresetByName(const std::string &name)
             return m;
         }
     }
-    try {
-        badMechanism(name, "unknown preset");
-    } catch (const BadMechanism &e) {
-        fatal("%s", e.message.c_str());
-    }
+    badMechanism(name, "unknown preset");
 }
 
 const std::vector<Mechanism> &

@@ -16,7 +16,6 @@
 
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,15 +131,6 @@ std::string mechanismSpecString(const MechanismSpec &spec);
  * valid presets and this grammar.
  */
 MechanismSpec mechanismByName(const std::string &name);
-
-/**
- * Non-fatal mechanismByName: parse failures return std::nullopt and
- * (when given) fill `why` with the same message fatal() would print.
- * For long-lived callers — the farm service must reject a bad request
- * without taking the whole warm process down.
- */
-std::optional<MechanismSpec> tryMechanismByName(const std::string &name,
-                                                std::string *why = nullptr);
 
 /**
  * Table 2 preset from its exact name; fatal() (with the same help text

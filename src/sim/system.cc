@@ -460,15 +460,15 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
     // The profiler attaches before any component exists: schedule()
     // tags events only while a profile is attached, so attaching after
     // the first schedule would mix tagged and untagged nodes.
-    if (cfg.profile) {
-        if constexpr (!prof::kEnabled) {
-            warn("profiling requested but this build has DBSIM_PROFILE "
-                 "off; ignoring");
-        } else {
-            profiler = std::make_unique<telemetry::HostProfiler>(P);
-            for (std::uint32_t p = 0; p < P; ++p) {
-                queues[p]->attachProfile(profiler->queueProfile(p));
-            }
+    if constexpr (!telemetry::kEnabled) {
+        if (cfg.telemetry.enabled() || cfg.profile) {
+            warn("telemetry or profiling requested but this build has "
+                 "DBSIM_TELEMETRY off; ignoring");
+        }
+    } else if (cfg.profile) {
+        profiler = std::make_unique<telemetry::HostProfiler>(P);
+        for (std::uint32_t p = 0; p < P; ++p) {
+            queues[p]->attachProfile(profiler->queueProfile(p));
         }
     }
 
@@ -602,11 +602,8 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
         }
     }
 
-    if (cfg.telemetry.enabled()) {
-        if constexpr (!telemetry::kEnabled) {
-            warn("telemetry requested but this build has DBSIM_TELEMETRY "
-                 "off; ignoring");
-        } else {
+    if constexpr (telemetry::kEnabled) {
+        if (cfg.telemetry.enabled()) {
             for (std::uint32_t p = 0; p < P; ++p) {
                 setupTelemetry(p);
             }

@@ -173,7 +173,7 @@ struct SystemConfig
      * Surfaced as SimResult::hostProfile. Purely an observer of *host*
      * time: simulated state and statistics are bit-identical with it
      * on or off. Requesting it in a build configured with
-     * -DDBSIM_PROFILE=OFF draws a warning and is ignored.
+     * -DDBSIM_TELEMETRY=OFF draws a warning and is ignored.
      */
     bool profile = false;
 

@@ -94,23 +94,15 @@ allBenchmarks()
     return profiles;
 }
 
-const BenchProfile *
-findBenchmark(const std::string &name)
-{
-    for (const auto &p : allBenchmarks()) {
-        if (p.name == name) {
-            return &p;
-        }
-    }
-    return nullptr;
-}
-
 const BenchProfile &
 benchmarkByName(const std::string &name)
 {
-    const BenchProfile *p = findBenchmark(name);
-    fatal_if(!p, "unknown benchmark '%s'", name.c_str());
-    return *p;
+    for (const auto &p : allBenchmarks()) {
+        if (p.name == name) {
+            return p;
+        }
+    }
+    fatal("unknown benchmark '%s'", name.c_str());
 }
 
 } // namespace dbsim

@@ -68,13 +68,6 @@ const std::vector<BenchProfile> &allBenchmarks();
 /** Look up a profile by name; fatal() if unknown. */
 const BenchProfile &benchmarkByName(const std::string &name);
 
-/**
- * Non-fatal lookup: nullptr when `name` is unknown. For long-lived
- * callers (the farm service) that must reject bad input and keep
- * serving.
- */
-const BenchProfile *findBenchmark(const std::string &name);
-
 } // namespace dbsim
 
 #endif // DBSIM_WORKLOAD_PROFILES_HH

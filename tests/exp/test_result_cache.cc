@@ -382,7 +382,9 @@ TEST_F(ResultCacheTest, RepeatSweepIsAllHitsAndBitIdentical)
 TEST_F(ResultCacheTest, CustomPointsBypass)
 {
     SweepSpec spec;
-    spec.addCustom([](PointRecord &rec) { rec.metrics["x"] = 1.0; });
+    spec.addCustom({}, [](const SystemConfig &, PointRecord &rec) {
+        rec.metrics["x"] = 1.0;
+    });
 
     RunOptions opts;
     opts.progress = false;
@@ -399,14 +401,18 @@ TEST_F(ResultCacheTest, ProfiledSweepsBypassButStayDeterministic)
     // Profiling is an observer: it must never be a cache key (the
     // canonical content ignores it) AND a profiled sweep must never be
     // served from — or insert into — the cache, because a hit would
-    // skip producing the attribution and a cached profile would replay
-    // stale wall-clock "facts".
+    // skip producing the attribution and the phase timings, and a
+    // cached profile would replay stale wall-clock "facts".
     SweepSpec spec;
     spec.base().core.warmupInstrs = 20'000;
     spec.base().core.measureInstrs = 15'000;
     spec.setAloneBase(spec.base());
     spec.addSim(Mechanism::Baseline, {"mcf"});
     spec.addSim(Mechanism::DbiAwbClb, {"lbm"});
+    const std::size_t sims = spec.points().size();
+    spec.addCustom({}, [](const SystemConfig &, PointRecord &rec) {
+        rec.metrics["x"] = 1.0;
+    });
 
     RunOptions opts;
     opts.progress = false;
@@ -415,8 +421,13 @@ TEST_F(ResultCacheTest, ProfiledSweepsBypassButStayDeterministic)
 
     ExperimentRunner cold(opts);
     auto plain = cold.run(spec);
-    EXPECT_EQ(cold.lastRun().cache.misses, spec.points().size());
+    EXPECT_EQ(cold.lastRun().cache.misses, sims);
+    for (const PointRecord &rec : plain) {
+        EXPECT_TRUE(rec.host.empty()) << "point " << rec.index;
+    }
 
+    // The directory is warm now, yet the profiled sweep simulates
+    // every point afresh and carries each one's wall-clock phases.
     RunOptions popts = opts;
     popts.profile = true;
     ExperimentRunner profiled(popts);
@@ -424,6 +435,13 @@ TEST_F(ResultCacheTest, ProfiledSweepsBypassButStayDeterministic)
     EXPECT_EQ(profiled.lastRun().cache.hits, 0u);
     EXPECT_EQ(profiled.lastRun().cache.misses, 0u);
     EXPECT_EQ(profiled.lastRun().cache.bypasses, spec.points().size());
+    ASSERT_EQ(prof.size(), spec.points().size());
+    for (std::size_t i = 0; i < sims; ++i) {
+        EXPECT_EQ(prof[i].host.count("buildMs"), 1u) << "point " << i;
+        EXPECT_EQ(prof[i].host.count("runMs"), 1u) << "point " << i;
+        EXPECT_EQ(prof[i].host.count("collectMs"), 1u) << "point " << i;
+    }
+    EXPECT_EQ(prof[sims].host.count("evalMs"), 1u);
 
     // Same deterministic simulation either way; only the host map
     // (excluded from metrics) differs.
@@ -437,7 +455,7 @@ TEST_F(ResultCacheTest, ProfiledSweepsBypassButStayDeterministic)
     // still all hits from the cold run's inserts.
     ExperimentRunner warm(opts);
     warm.run(spec);
-    EXPECT_EQ(warm.lastRun().cache.hits, spec.points().size());
+    EXPECT_EQ(warm.lastRun().cache.hits, sims);
 }
 
 } // namespace

@@ -62,7 +62,7 @@ TEST(ExperimentRunner, RecordsComeBackInSpecOrder)
     opts.progress = false;
     SweepSpec spec;
     for (int i = 0; i < 16; ++i) {
-        spec.addCustom([i](PointRecord &rec) {
+        spec.addCustom({}, [i](const SystemConfig &, PointRecord &rec) {
             rec.mechanism = "custom";
             rec.metrics["i"] = static_cast<double>(i);
         });
@@ -145,12 +145,47 @@ TEST(ExperimentRunner, CustomPointTagsSurviveIntoRecords)
     RunOptions opts;
     opts.progress = false;
     SweepSpec spec;
-    auto &pt = spec.addCustom(
-        [](PointRecord &rec) { rec.metrics["x"] = 1.0; });
+    auto &pt = spec.addCustom({}, [](const SystemConfig &, PointRecord &rec) {
+        rec.metrics["x"] = 1.0;
+    });
     pt.tags["axis"] = "value";
     auto records = ExperimentRunner(opts).run(spec);
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].tags.at("axis"), "value");
+}
+
+TEST(ExperimentRunner, CustomPointsSeeConfigOverridesAndRunnerOptions)
+{
+    // An ablation_flush-style point: the closure builds its own System
+    // from the config it is handed. A machine-shape override applied
+    // after the point was added (the harness's --dcache) and the
+    // runner's audit/profile options must all reach that System, as
+    // they reach Sim points.
+    SystemConfig cfg;
+    cfg.mech = Mechanism::DbiAwb;
+    cfg.core.warmupInstrs = 20'000;
+    cfg.core.measureInstrs = 15'000;
+    SweepSpec spec;
+    spec.addCustom(cfg, [](const SystemConfig &c, PointRecord &rec) {
+        System sys(c, {"lbm"});
+        rec.stats = sys.run().stats;
+        rec.metrics["auditEvery"] = static_cast<double>(c.auditEvery);
+        rec.metrics["profile"] = c.profile ? 1.0 : 0.0;
+    });
+    spec.overrideConfigs(
+        [](SystemConfig &c) { c.dcache.enable = true; });
+
+    RunOptions opts;
+    opts.progress = false;
+    opts.auditEvery = 512;
+    opts.profile = true;
+    auto records = ExperimentRunner(opts).run(spec);
+    ASSERT_EQ(records.size(), 1u);
+    const PointRecord &rec = records[0];
+    EXPECT_GT(rec.stat("dcache.reads"), 0u);
+    EXPECT_EQ(rec.metric("auditEvery"), 512.0);
+    EXPECT_EQ(rec.metric("profile"), 1.0);
+    EXPECT_EQ(rec.host.count("evalMs"), 1u);
 }
 
 } // namespace

@@ -298,7 +298,7 @@ def check_profile(record_path):
     prof = {k[len("profile."):]: v for k, v in host.items()
             if k.startswith("profile.")}
     if not prof:
-        # Profiler compiled out (DBSIM_PROFILE=OFF): nothing to check.
+        # Profiler compiled out (DBSIM_TELEMETRY=OFF): nothing to check.
         print("check_trace: no profile data (profiler compiled out)")
         return 0
     check(prof.get("shards") == SHARDS,
