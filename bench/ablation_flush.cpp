@@ -4,7 +4,7 @@
  * warming a write-heavy workload, flush the whole cache (the power-down
  * / persistence scenario) and run bulk DMA dirty-queries, comparing the
  * lookup cost of the conventional brute-force tag sweep against the
- * DBI's compact per-row answers.
+ * DBI's compact per-row answers. Runs on one LLC slice only.
  *
  * Usage: ablation_flush [benchmark] [harness flags]
  */
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/logging.hh"
 #include "harness.hh"
 #include "sim/system.hh"
 
@@ -33,6 +34,13 @@ buildSpec(const bench::HarnessOptions &o)
         cfg.mech = m;
         auto &pt = spec.addCustom(cfg, [bench_name](const SystemConfig &cfg,
                                                     exp::PointRecord &rec) {
+            // Llc::flushRegion and queryRegionDirty act on one slice,
+            // and the Section 7 study assumes one monolithic LLC.
+            const std::uint32_t slices = cfg.topology().slices;
+            fatal_if(slices > 1,
+                     "ablation_flush: the Section 7 flush study needs one "
+                     "LLC slice, not %u (drop --slices)",
+                     slices);
             System sys(cfg, {bench_name});
             sys.run();
 

@@ -37,8 +37,8 @@ printUsage(const char *argv0)
     std::printf("usage: %s [positional args...] [--mech SPEC] [--jobs N]\n"
                 "        [--json FILE] [--seed S] [--warmup N] "
                 "[--measure N] [--instrs K]\n"
-                "        [--audit N] [--shards N] [--slices N] "
-                "[--channels N] [--hop N]\n"
+                "        [--audit N] [--slices N] [--channels N] "
+                "[--hop N]\n"
                 "        [--dcache] [--dcache-mb N] [--dcache-rows N] "
                 "[--dcache-tags]\n"
                 "        [--trace FILE] [--ff N] [--sample-ops W] "
@@ -136,9 +136,6 @@ HarnessOptions::applyTrace(SystemConfig &cfg) const
 void
 HarnessOptions::applySharding(SystemConfig &cfg) const
 {
-    if (shards) {
-        cfg.numShards = *shards;
-    }
     if (slices) {
         cfg.llcSlices = *slices;
     }
@@ -208,10 +205,6 @@ harnessMain(int argc, char **argv)
             ++i;
         } else if (std::strcmp(arg, "--audit") == 0) {
             opts.auditEvery = parseUint(arg, needValue(i));
-            ++i;
-        } else if (std::strcmp(arg, "--shards") == 0) {
-            opts.shards = static_cast<std::uint32_t>(
-                parseUint(arg, needValue(i)));
             ++i;
         } else if (std::strcmp(arg, "--slices") == 0) {
             opts.slices = static_cast<std::uint32_t>(

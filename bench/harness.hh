@@ -19,9 +19,6 @@
  *           [--instrs K]              shorthand: warmup = measure = K
  *           [--audit N]               run the dirty-state auditor every
  *                                     N LLC events (default 0 = off)
- *           [--shards N]              worker threads for partitioned
- *                                     machines (execution only: results
- *                                     are bit-identical at any value)
  *           [--slices N]              LLC slices (simulated machine;
  *                                     0 = derive from core count)
  *           [--channels N]            DRAM channels (simulated machine;
@@ -177,12 +174,10 @@ struct HarnessOptions
     bool resume = true;
 
     /**
-     * Sharding flags (--shards / --slices / --channels / --hop),
-     * applied centrally to every config of every experiment; absent
-     * means "leave whatever the experiment set". --slices/--channels/
-     * --hop change the simulated machine; --shards only the execution.
+     * Sharding flags (--slices / --channels / --hop), applied centrally
+     * to every config of every experiment; absent means "leave whatever
+     * the experiment set". All change the simulated machine.
      */
-    std::optional<std::uint32_t> shards;
     std::optional<std::uint32_t> slices;
     std::optional<std::uint32_t> channels;
     std::optional<std::uint64_t> hopLatency;

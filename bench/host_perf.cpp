@@ -22,7 +22,6 @@
  */
 
 #include <chrono>
-#include <thread>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -52,7 +51,6 @@ struct PerfPoint
     /** Sharded-machine shape; 0s = the default Table 1 machine. */
     std::uint32_t slices = 0;
     std::uint32_t channels = 0;
-    std::uint32_t shards = 0;
 
     /** Per-point instr-count override (sharded points run shorter). */
     std::uint64_t instrs = 0;
@@ -74,9 +72,7 @@ struct PerfPoint
  * configuration (DBI + AWB + CLB, two cores — the ISSUE's 1.5x target
  * workload), a composed '+'-spec on the write-heaviest profile
  * (DBI insert/evict and write-drain paths dominate), and the 64-core /
- * 4-slice / 4-channel epoch-barrier machine at 1 and 4 worker threads
- * — same simulation (bit-identical stats), so the pair freezes the
- * parallel engine's scaling on this host alongside its absolute speed.
+ * 4-slice / 4-channel machine on the epoch engine.
  */
 std::vector<PerfPoint>
 makePoints()
@@ -91,9 +87,7 @@ makePoints()
     for (int c = 0; c < 64; ++c) {
         big.push_back(rota[c % 4]);
     }
-    pts.push_back({"sharded_64c4s4ch_shards1", "DBI", 64, big, 4, 4, 1,
-                   30'000});
-    pts.push_back({"sharded_64c4s4ch_shards4", "DBI", 64, big, 4, 4, 4,
+    pts.push_back({"sharded_64c4s4ch_shards1", "DBI", 64, big, 4, 4,
                    30'000});
     // The interposed DRAM-cache tier, capacity-bound so its hot path
     // (tag probe, fill, page eviction, dirty-index maintenance) carries
@@ -278,7 +272,6 @@ buildSpec(const bench::HarnessOptions &o)
         cfg.numCores = point.cores;
         cfg.llcSlices = point.slices;
         cfg.dram.channels = point.channels;
-        cfg.numShards = point.shards;
         if (point.instrs) {
             cfg.core.warmupInstrs = o.warmupOr(point.instrs);
             cfg.core.measureInstrs = o.measureOr(point.instrs);
@@ -388,18 +381,8 @@ format(const std::vector<exp::PointRecord> &records,
         }
         std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
     }
-    // The sharded pair differs only in worker threads, so the ratio of
-    // their events/sec is the parallel engine's host speedup. Recorded
-    // for the record, not gated: it is a property of the CI host's core
-    // count (a single-core host shows < 1 from thread overhead).
-    double serial_eps = 0.0, parallel_eps = 0.0;
-    for (const auto &rec : records) {
-        if (rec.tags.at("point") == "sharded_64c4s4ch_shards1") {
-            serial_eps = rec.metric("eventsPerSec");
-        } else if (rec.tags.at("point") == "sharded_64c4s4ch_shards4") {
-            parallel_eps = rec.metric("eventsPerSec");
-        }
-    }
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
     for (const auto &rec : records) {
         if (rec.metrics.count("ffSpeedup")) {
             std::printf("trace ingest: %.0f ops/sec fast-forward vs "
@@ -409,17 +392,6 @@ format(const std::vector<exp::PointRecord> &records,
                         rec.metric("ffSpeedup"));
         }
     }
-    if (serial_eps > 0.0 && parallel_eps > 0.0) {
-        std::fprintf(f, "  ],\n  \"shardSpeedupAt4\": %.3f\n}\n",
-                     parallel_eps / serial_eps);
-        std::printf("shard speedup at 4 workers: %.2fx (host has %u "
-                    "hardware threads)\n",
-                    parallel_eps / serial_eps,
-                    std::thread::hardware_concurrency());
-    } else {
-        std::fprintf(f, "  ]\n}\n");
-    }
-    std::fclose(f);
     std::printf("\nwrote %s\n", out.c_str());
 }
 

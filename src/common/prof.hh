@@ -77,12 +77,10 @@ nowNs()
 }
 
 /**
- * Per-queue dispatch accounting, written only by the thread running
- * that queue's epoch (cache-line padded so neighboring shards never
- * false-share). Slots are sized to the full 3-bit tag space so a
- * masked value can never index out of bounds.
+ * Per-queue dispatch accounting. Slots are sized to the full 3-bit tag
+ * space so a masked value can never index out of bounds.
  */
-struct alignas(64) QueueProfile
+struct QueueProfile
 {
     std::uint64_t ns[kCompMask + 1] = {};
     std::uint64_t events[kCompMask + 1] = {};

@@ -1,8 +1,7 @@
 /**
  * @file
  * Sharded execution layer: the ShardContext handle components schedule
- * through, the time-stamped inter-shard mailbox (ShardFabric), and the
- * epoch worker pool.
+ * through and the time-stamped inter-shard mailbox (ShardFabric).
  *
  * A shard is one execution partition of the simulated machine: it owns
  * an EventQueue, an LLC slice, and (when the machine has that many) a
@@ -10,34 +9,23 @@
  * before. Across shards, all traffic goes through the ShardFabric: a
  * message sent at cycle t is delivered at t + hopLatency into the
  * destination shard's queue, and hopLatency doubles as the conservative
- * lookahead of the epoch-barrier synchronization scheme:
+ * lookahead of the epoch loop (System::runSharded):
  *
- *   - Shards execute epoch k = cycles [k*W, (k+1)*W) independently,
+ *   - Shards execute epoch k = cycles [k*W, (k+1)*W) one after another,
  *     each on its own EventQueue, where W == hopLatency.
  *   - A message sent during epoch k has deliverAt >= (k+1)*W, i.e. it
- *     can only matter in a *later* epoch, so running the shards of one
- *     epoch concurrently cannot miss or reorder any interaction.
- *   - At the barrier between epochs a single thread drains every lane
- *     in a fixed total order — (deliverAt, source shard, per-lane
- *     sequence number) — so delivery order is a pure function of the
- *     simulation, independent of how many worker threads ran the epoch
- *     or how their execution interleaved.
- *
- * That last point is the determinism argument: `--shards 1` and
- * `--shards N` produce bit-identical statistics because thread count
- * only decides which host thread runs a shard's epoch, never what any
- * shard observes.
+ *     can only matter in a *later* epoch, so the order in which the
+ *     shards of one epoch run cannot miss or reorder any interaction.
+ *   - At the barrier between epochs deliverAll drains every lane in a
+ *     fixed total order — (deliverAt, per-lane sequence number, source
+ *     shard) — so delivery order is a pure function of the simulation.
  */
 
 #ifndef DBSIM_COMMON_SHARD_HH
 #define DBSIM_COMMON_SHARD_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "event_queue.hh"
@@ -55,10 +43,8 @@ class ShardFabric;
  * message, identified by a deterministic flow id that is unique over a
  * run and encodes (lane sequence, src, dst).
  *
- * Threading contract: onSend runs on the thread currently executing
- * shard `src` (mid-epoch), so it may touch src-shard-owned state only.
- * onDeliver runs single-threaded at the epoch barrier (inside
- * deliverAll), when no shard is executing.
+ * onSend runs mid-epoch, while shard `src` executes. onDeliver runs at
+ * the epoch barrier (inside deliverAll), when no shard is executing.
  */
 class FlowObserver
 {
@@ -112,13 +98,11 @@ class ShardContext
 /**
  * Time-stamped inter-shard mailbox.
  *
- * During an epoch each shard appends messages to its outgoing lanes;
- * a lane (src, dst) is written only by the thread running shard src,
- * so the epoch itself needs no locking. At the epoch barrier a single
- * thread calls deliverAll(), which merges every destination's incoming
- * lanes in (deliverAt, src, seq) order and schedules the callbacks
- * into the destination queues. Messages sent at cycle t deliver at
- * t + hopLatency.
+ * During an epoch each shard appends messages to its outgoing lanes.
+ * At the epoch barrier deliverAll() merges every destination's
+ * incoming lanes in (deliverAt, seq, src) order and schedules the
+ * callbacks into the destination queues. Messages sent at cycle t
+ * deliver at t + hopLatency.
  */
 class ShardFabric
 {
@@ -144,17 +128,15 @@ class ShardFabric
      * Send a message from shard `src` to shard `dst` at cycle
      * `send_time`; `fn` runs on shard dst at send_time + hopLatency().
      * `kind` labels the message for tracing (static string; never
-     * affects delivery). Called only by the thread currently running
-     * shard src.
+     * affects delivery). Called only while shard src executes.
      */
     void
     send(std::uint32_t src, std::uint32_t dst, Cycle send_time, Handler fn,
          const char *kind = "msg")
     {
         Lane &lane = lanes[std::size_t(src) * numShards_ + dst];
-        // Flow id: unique per run and recoverable to (src, dst). The
-        // per-lane sequence makes it deterministic regardless of which
-        // host thread runs the sending shard's epoch.
+        // Flow id: unique per run and recoverable to (src, dst), and
+        // deterministic through the per-lane sequence.
         const std::uint64_t id =
             (lane.nextSeq * numShards_ + src) * numShards_ + dst;
         lane.box.push_back(
@@ -168,16 +150,14 @@ class ShardFabric
 
     /**
      * Attach a passive flow observer (nullptr detaches). Call before
-     * the run starts; the fabric never synchronizes observer access
-     * beyond the epoch-barrier contract documented on FlowObserver.
+     * the run starts.
      */
     void attachFlowObserver(FlowObserver *obs) { observer = obs; }
 
     /**
      * Barrier-time delivery: schedule every in-flight message into its
-     * destination queue, in (deliverAt, src, seq) order per destination.
-     * Single-threaded; no shard may be executing. `queues[s]` is shard
-     * s's EventQueue.
+     * destination queue, in (deliverAt, seq, src) order per destination.
+     * No shard may be executing. `queues[s]` is shard s's EventQueue.
      */
     void deliverAll(const std::vector<EventQueue *> &queues);
 
@@ -204,9 +184,8 @@ class ShardFabric
         const char *kind;
     };
 
-    /** One (src, dst) lane. Written only by src's thread mid-epoch;
-     *  padded so lanes of different shards never share a cache line. */
-    struct alignas(64) Lane
+    /** One (src, dst) lane, written by shard src mid-epoch. */
+    struct Lane
     {
         std::vector<Message> box;
         std::uint64_t nextSeq = 0;
@@ -217,57 +196,6 @@ class ShardFabric
     FlowObserver *observer = nullptr;
     std::vector<Lane> lanes;  ///< lane (src, dst) at src*numShards+dst
     std::vector<Message> merged;  ///< deliverAll scratch (reused)
-};
-
-/**
- * Persistent worker pool for epoch execution. run(fn) invokes
- * fn(worker_index) once per worker (index 0 runs on the calling
- * thread) and returns when all have finished — one fork/join barrier
- * per epoch without re-spawning threads. With one worker no threads
- * are created at all and run() is a plain call.
- *
- * An epoch is a few events per shard, so a barrier that sleeps on a
- * condition variable at once costs more than the work it separates.
- * Both sides of the barrier therefore wait on an atomic first, pausing
- * and then yielding the CPU (see spinUntil), and sleep only if that
- * wait runs long.
- */
-class ShardWorkers
-{
-  public:
-    explicit ShardWorkers(std::uint32_t num_workers);
-    ~ShardWorkers();
-
-    ShardWorkers(const ShardWorkers &) = delete;
-    ShardWorkers &operator=(const ShardWorkers &) = delete;
-
-    std::uint32_t count() const { return numWorkers; }
-
-    /** Run fn(w) for w in [0, count()); blocks until all complete. */
-    void run(const std::function<void(std::uint32_t)> &fn);
-
-  private:
-    void workerLoop(std::uint32_t index);
-
-    /** Busy-wait a bounded while for pred(); returns whether it holds. */
-    template <typename Pred>
-    static bool spinUntil(Pred pred);
-
-    std::uint32_t numWorkers;
-    std::vector<std::thread> threads;
-
-    std::mutex m;
-    std::condition_variable cvStart;
-    std::condition_variable cvDone;
-    /**
-     * The barrier state is written under m. Spinning waiters read
-     * `generation` and `running` without it, and a worker reads `work`
-     * only after the acquire load that saw its generation.
-     */
-    const std::function<void(std::uint32_t)> *work = nullptr;
-    std::atomic<std::uint64_t> generation{0};
-    std::atomic<std::uint32_t> running{0};
-    std::atomic<bool> stopping{false};
 };
 
 } // namespace dbsim

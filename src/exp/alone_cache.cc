@@ -16,7 +16,6 @@ aloneRunConfig(const SystemConfig &base)
     cfg.llcSlices = 1;
     cfg.dram.channels = 1;
     cfg.shardHopLatency = 0;
-    cfg.numShards = 0;
     return cfg;
 }
 

@@ -5,14 +5,14 @@
  *
  * Every Sim/MixSim point has a canonical serialization — a stable,
  * locale-independent key/value string covering each semantic field of
- * the SystemConfig (execution-only knobs like numShards and passive
- * observers like the auditor and telemetry are excluded: they never
- * change results). The FNV-1a/64 hash of that string keys a persistent
- * on-disk store: a directory of JSONL shard files plus an index.json
- * carrying the store version and a build stamp. A new build stamp
- * wipes the store (invalidation-on-code-change); a hash hit is only
- * trusted after the stored canonical string compares equal, so
- * collisions and stale entries degrade to misses, never wrong results.
+ * the SystemConfig (passive observers like the auditor and telemetry
+ * are excluded: they never change results). The FNV-1a/64 hash of that
+ * string keys a persistent on-disk store: a directory of JSONL shard
+ * files plus an index.json carrying the store version and a build
+ * stamp. A new build stamp wipes the store (invalidation-on-code-
+ * change); a hash hit is only trusted after the stored canonical
+ * string compares equal, so collisions and stale entries degrade to
+ * misses, never wrong results.
  * Corrupted or truncated shard lines are skipped and recomputed.
  *
  * The cache is thread-safe: the ExperimentRunner opens one per run
@@ -50,8 +50,8 @@ std::string keyHex(std::uint64_t key);
 /**
  * Canonical serialization of every semantic field of `cfg` (the
  * fields that can change simulated results). Deliberately excluded:
- * numShards (execution-only), auditEvery and telemetry (passive
- * observers), progress/host plumbing.
+ * auditEvery and telemetry (passive observers), progress/host
+ * plumbing.
  */
 std::string canonicalConfig(const SystemConfig &cfg);
 

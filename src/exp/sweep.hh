@@ -114,8 +114,8 @@ class SweepSpec
     /**
      * Apply `fn` to every config the spec embeds: base, alone-base,
      * and each already-added point's, Custom points included. The
-     * harness's machine-shape flags (--shards/--slices/--channels/
-     * --hop, --dcache*, --trace and sampling) go through here so every
+     * harness's machine-shape flags (--slices/--channels/--hop,
+     * --dcache*, --trace and sampling) go through here so every
      * experiment honors them without per-bench plumbing.
      */
     void overrideConfigs(const std::function<void(SystemConfig &)> &fn);

@@ -64,19 +64,15 @@ SystemConfig::resolveLlc() const
 ShardTopology
 SystemConfig::topology() const
 {
+    fatal_if(numShards > 1,
+             "numShards = %u: threaded execution of sliced machines was "
+             "removed; every machine runs on one thread (use 0 or 1)",
+             numShards);
     TopologySpec spec;
     spec.numCores = numCores;
     spec.llcSlices = llcSlices;
     spec.dramChannels = dram.channels;
     spec.hopLatency = shardHopLatency;
-    spec.numShards = numShards;
-    if (sampling.enabled()) {
-        // Functional warming reaches remote slices by direct call,
-        // outside the epoch-barrier protocol, so sampled runs execute
-        // single-threaded. Worker count never changes statistics
-        // (the sharding golden invariant), so results are unaffected.
-        spec.numShards = 1;
-    }
     spec.rowBytes = dram.rowBytes;
     spec.llcTotalBytes = llcBytesPerCore * numCores;
     spec.llcAssoc = resolveLlc().assoc;
@@ -275,8 +271,7 @@ class ShardLlcPort : public LlcPort
     {
         // Zero-time warming reaches the owning slice by direct call:
         // the fabric exists to model hop timing, and the functional
-        // path has none. Sampled runs execute single-threaded (see
-        // SystemConfig::topology), so the cross-shard call is safe.
+        // path has none.
         slices[topo.sliceOf(block_addr)]->functionalAccess(block_addr,
                                                            core,
                                                            is_write);
@@ -401,10 +396,9 @@ class ShardMemRouter : public BackingPort
 /**
  * Routes fabric message lifecycle into the per-shard telemetry sinks,
  * turning every cross-shard message into a flow arrow in the merged
- * trace. Threading follows the FlowObserver contract: a send is
- * recorded by the sending shard's sink on the thread running that
- * shard's epoch (each sink is owned by its shard), a delivery by the
- * destination's sink at the single-threaded barrier.
+ * trace. A send is recorded by the sending shard's sink while that
+ * shard runs its epoch, a delivery by the destination's sink at the
+ * barrier.
  */
 class ShardFlowTracer : public FlowObserver
 {
@@ -627,7 +621,6 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
         fab->registerStats(statSet);
     }
 
-    progress.resize(P);
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
         std::uint32_t p = topo.partitionOfCore(c);
         std::unique_ptr<TraceSource> src;
@@ -667,15 +660,11 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
             cores.back()->onDone(
                 [this](std::uint32_t id) { onCoreDone(id); });
         } else {
-            // Milestones fire on whichever thread runs the core's
-            // shard; they touch only that shard's tally. The epoch loop
-            // acts on them at the next barrier, which keeps warmup
-            // snapshots and the halt deterministic in epoch index —
-            // independent of thread count.
-            cores.back()->onWarmed(
-                [this, p](std::uint32_t) { ++progress[p].warmed; });
-            cores.back()->onDone(
-                [this, p](std::uint32_t) { ++progress[p].done; });
+            // Milestones are only counted here. The epoch loop acts on
+            // them at the next barrier, which keeps warmup snapshots and
+            // the halt at a deterministic epoch index.
+            cores.back()->onWarmed([this](std::uint32_t) { ++warmedCount; });
+            cores.back()->onDone([this](std::uint32_t) { ++doneCount; });
         }
     }
 }
@@ -839,50 +828,32 @@ System::runSharded()
 {
     const std::uint32_t P = topo.partitions;
     const Cycle W = topo.hopLatency;
-    ShardWorkers pool(topo.workers);
 
-    // Per-epoch profiling scratch. A span is written by the worker
-    // thread running that shard's epoch and read by the main thread
-    // after the pool.run() join (which orders the accesses); padding
-    // keeps neighboring shards off each other's cache lines.
-    struct alignas(64) EpochSpan
-    {
-        std::uint64_t beginNs = 0;
-        std::uint64_t endNs = 0;
-    };
-    std::vector<EpochSpan> spans(profiler ? P : 0);
+    // Per-epoch profiling scratch: each shard's epoch wall time.
+    std::vector<std::uint64_t> work_ns(profiler ? P : 0, 0);
     std::vector<std::uint64_t> dispatchedBase(profiler ? P : 0, 0);
 
-    // Conservative time-window loop. Epoch k runs every shard
-    // independently over [epochBase, epochBase+W); messages they send
-    // deliver >= one full window later (send time + hop, hop == W), so
-    // nothing a concurrent shard does this epoch can affect another
-    // until after the barrier. See common/shard.hh.
+    // Conservative time-window loop. Epoch k runs every shard in turn
+    // over [epochBase, epochBase+W); messages they send deliver >= one
+    // full window later (send time + hop, hop == W), so nothing one
+    // shard does this epoch can affect another until after the
+    // barrier. See common/shard.hh.
     Cycle epoch_base = 0;
-    Cycle limit = 0;
-    // Built once, not per epoch: the closure is too big for
-    // std::function's inline buffer.
-    const std::function<void(std::uint32_t)> epoch = [&](std::uint32_t w) {
-        // Static shard->worker assignment; any assignment yields the
-        // same simulation, this one just balances load.
-        for (std::uint32_t p = w; p < P; p += pool.count()) {
-            if (profiler) {
-                const std::uint64_t b = prof::nowNs();
-                runShardEpoch(p, limit);
-                spans[p].beginNs = b;
-                spans[p].endNs = prof::nowNs();
-            } else {
-                runShardEpoch(p, limit);
-            }
-        }
-    };
     for (;;) {
         fatal_if(epoch_base > cfg.maxCycles,
                  "simulation exceeded %llu cycles: likely deadlock",
                  static_cast<unsigned long long>(cfg.maxCycles));
-        limit = epoch_base + W - 1;
+        const Cycle limit = epoch_base + W - 1;
         const std::uint64_t iter_begin = profiler ? prof::nowNs() : 0;
-        pool.run(epoch);
+        for (std::uint32_t p = 0; p < P; ++p) {
+            if (profiler) {
+                const std::uint64_t b = prof::nowNs();
+                runShardEpoch(p, limit);
+                work_ns[p] = prof::nowNs() - b;
+            } else {
+                runShardEpoch(p, limit);
+            }
+        }
         if (profiler) {
             const std::uint64_t d0 = prof::nowNs();
             fab->deliverAll(queuePtrs);
@@ -891,39 +862,29 @@ System::runSharded()
             fab->deliverAll(queuePtrs);
         }
 
-        // Barrier-time milestone processing (single-threaded, so the
-        // cross-shard stat snapshot and the halt are race-free and land
-        // at a deterministic epoch boundary).
-        std::uint32_t warmed = 0;
-        std::uint32_t done = 0;
-        for (const ShardProgress &pr : progress) {
-            warmed += pr.warmed;
-            done += pr.done;
-        }
-        if (!warmSnapshotTaken && warmed == cfg.numCores) {
+        // Barrier-time milestone processing, so the cross-shard stat
+        // snapshot and the halt land at a deterministic epoch boundary.
+        if (!warmSnapshotTaken && warmedCount == cfg.numCores) {
             statSet.snapshotAll();
             warmTime = limit + 1;
-            warmedCount = warmed;
             warmSnapshotTaken = true;
         }
-        if (!haltIssued && done == cfg.numCores) {
+        if (!haltIssued && doneCount == cfg.numCores) {
             doneTime = limit + 1;
             for (auto &core : cores) {
                 core->halt();
             }
-            doneCount = done;
             haltIssued = true;
         }
 
         if (profiler) {
             // Work is each shard's measured epoch span; stall is the
-            // rest of the iteration (waiting for the slowest shard,
-            // fabric drain, milestones), so work + stall sums to the
-            // engine's wall time per shard by measurement.
+            // rest of the iteration (the other shards' epochs, fabric
+            // drain, milestones), so work + stall sums to the engine's
+            // wall time per shard by measurement.
             const std::uint64_t iter_end = prof::nowNs();
             for (std::uint32_t p = 0; p < P; ++p) {
-                const std::uint64_t work =
-                    spans[p].endNs - spans[p].beginNs;
+                const std::uint64_t work = work_ns[p];
                 const std::uint64_t disp = queuePtrs[p]->dispatched();
                 profiler->recordEpoch(p, work,
                                       disp - dispatchedBase[p]);

@@ -10,10 +10,8 @@
  * single EventQueue exactly as before. Scaled-up machines
  * (llcSlices/dram.channels > 1) are partitioned into shards — each
  * owning an EventQueue, an LLC slice with its own policy tuple, and a
- * DRAM channel — and executed under epoch-barrier synchronization on
- * `numShards` worker threads. Thread count never changes statistics;
- * see common/shard.hh and sim/topology.hh for the scheme and the
- * determinism argument.
+ * DRAM channel — and executed epoch by epoch on one host thread; see
+ * common/shard.hh and sim/topology.hh for the scheme.
  */
 
 #ifndef DBSIM_SIM_SYSTEM_HH
@@ -91,9 +89,9 @@ struct SystemConfig
     Cycle shardHopLatency = 0;
 
     /**
-     * Worker threads executing the shards. Purely an execution knob:
-     * any value produces bit-identical statistics (the new golden
-     * invariant). 0 derives min(partitions, host cores).
+     * Accepts only 0 or 1: sliced machines run on one host thread, and
+     * any other value is fatal. Kept only because the host-speed
+     * benchmark sets it; goes with the next benchmark change.
      */
     std::uint32_t numShards = 0;
 
@@ -130,10 +128,8 @@ struct SystemConfig
      * then alternate `sampleOps` detailed ops with `periodOps -
      * sampleOps` functionally warmed ops. Disabled by default; a
      * disabled config leaves the run bit-identical to one without the
-     * sampling layer wired in at all. Sampled runs execute on one
-     * worker thread (warming crosses shard boundaries directly, outside
-     * the epoch-barrier protocol); worker count never changes
-     * statistics, so this is invisible in results.
+     * sampling layer wired in at all. On sliced machines warming
+     * reaches remote slices by direct call, outside the fabric.
      */
     SamplingConfig sampling;
 
@@ -276,11 +272,8 @@ class System
     std::uint32_t numSlices() const { return topo.slices; }
     std::uint32_t numChannels() const { return topo.channels; }
 
-    /** Shards the machine is partitioned into (not worker threads). */
+    /** Shards the machine is partitioned into. */
     std::uint32_t numPartitions() const { return topo.partitions; }
-
-    /** Worker threads the epoch engine will use. */
-    std::uint32_t numWorkers() const { return topo.workers; }
 
     /** The LLC — slice 0 on sliced machines (for tests and examples). */
     Llc &llc() { return *slices[0]; }
@@ -331,8 +324,7 @@ class System
      * Events the simulation kernel has dispatched so far, summed over
      * every shard's queue — the denominator of the host-performance
      * metrics (events/sec, ns/event) bench/host_perf.cpp reports.
-     * Deterministic: identical configs dispatch identical event counts,
-     * regardless of numShards.
+     * Deterministic: identical configs dispatch identical event counts.
      */
     std::uint64_t eventsDispatched() const;
 
@@ -418,17 +410,7 @@ class System
     Cycle warmTime = 0;
     Cycle doneTime = 0;
 
-    /**
-     * Per-shard milestone tallies for the epoch engine. A shard's entry
-     * is written only by the thread running that shard's epoch and read
-     * at barriers, so the padding (not locks) is all that's needed.
-     */
-    struct alignas(64) ShardProgress
-    {
-        std::uint32_t warmed = 0;
-        std::uint32_t done = 0;
-    };
-    std::vector<ShardProgress> progress;
+    /** Epoch-engine milestones already acted on at a barrier. */
     bool warmSnapshotTaken = false;
     bool haltIssued = false;
 };

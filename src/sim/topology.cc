@@ -1,7 +1,6 @@
 #include "topology.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/logging.hh"
 
@@ -89,14 +88,6 @@ resolveTopology(const TopologySpec &spec)
     fatal_if(!t.sharded() && spec.hopLatency != 0,
              "hopLatency is set but the machine has one slice and one "
              "channel; nothing ever crosses a shard boundary");
-
-    // Workers: an execution choice, clamped to the useful range. More
-    // threads than partitions would idle; the derived default also
-    // respects the host's core count.
-    std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-    t.workers = spec.numShards
-                    ? std::min(spec.numShards, t.partitions)
-                    : std::min(t.partitions, hw);
     return t;
 }
 

@@ -1,18 +1,11 @@
 /**
  * @file
  * Shard topology: how the simulated machine is partitioned (LLC slices,
- * DRAM channels) and how those partitions are assigned to execution
- * shards, plus the single place every cross-axis combination of the
- * SystemConfig sharding knobs is derived and validated.
- *
- * Two ideas are kept strictly apart:
- *
- *  - *Simulated partitioning* (`llcSlices`, `dram.channels`, the hop
- *    latency) is part of the machine. Changing it changes timing and
- *    statistics, exactly like changing the cache size would.
- *  - *Execution sharding* (`numShards` worker threads) is a host-side
- *    knob. It never changes statistics: `--shards 1` and `--shards N`
- *    are bit-identical (see common/shard.hh for the argument).
+ * DRAM channels), plus the single place every cross-axis combination of
+ * the SystemConfig sharding knobs is derived and validated. The
+ * partitioning is part of the machine: changing it changes timing and
+ * statistics, exactly like changing the cache size would. All
+ * partitions run on one host thread (see System::runSharded).
  *
  * One shard (partition) p owns LLC slice p (for p < slices), DRAM
  * channel p (for p < channels), and the cores {c : c % partitions == p}.
@@ -37,7 +30,6 @@ struct TopologySpec
     std::uint32_t llcSlices = 0;    ///< 0: derive from numCores
     std::uint32_t dramChannels = 0; ///< 0: one per LLC slice
     Cycle hopLatency = 0;           ///< 0: derive (64 when sharded)
-    std::uint32_t numShards = 0;    ///< worker threads; 0: derive
     std::uint64_t rowBytes = 8192;
     std::uint64_t llcTotalBytes = 2ull << 20;
     std::uint32_t llcAssoc = 16;
@@ -60,7 +52,12 @@ struct ShardTopology
     std::uint32_t channels = 1;
     std::uint32_t partitions = 1;  ///< max(slices, channels)
     Cycle hopLatency = 0;          ///< cross-shard latency == epoch window
-    std::uint32_t workers = 1;     ///< host threads running the epochs
+    /**
+     * Host threads running the epochs: always 1. Kept only because the
+     * host-speed benchmark prints it; goes with the next benchmark
+     * change.
+     */
+    std::uint32_t workers = 1;
     std::uint64_t rowBytes = 8192;
 
     bool sharded() const { return partitions > 1; }

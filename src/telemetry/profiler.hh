@@ -3,15 +3,15 @@
  * HostProfiler: wall-clock attribution for one System run. Answers
  * "where does host time go?" per shard: event dispatch split by
  * component (via the prof::QueueProfile tag bits in the kernel),
- * epoch-barrier stall (the wait for the slowest shard of each epoch),
- * and barrier-time fabric drain — plus per-epoch occupancy counters
- * (events dispatched per shard per epoch, as a Histogram).
+ * epoch stall (the rest of each epoch iteration: the other shards'
+ * epochs, fabric drain and milestones), and barrier-time fabric drain
+ * — plus per-epoch occupancy counters (events dispatched per shard per
+ * epoch, as a Histogram).
  *
- * Clock discipline: all measurements use the host steady clock and are
- * recorded either by the thread that owns the measured queue (dispatch
- * times, epoch work spans) or by the main thread at the epoch barrier
- * (stall, fabric drain, occupancy) — never concurrently on shared
- * state. Nothing here reads or writes simulated state, so profiling
+ * Clock discipline: all measurements use the host steady clock. Work
+ * spans and dispatch times are taken around the measured queue; stall,
+ * fabric drain and occupancy are recorded at the epoch barrier.
+ * Nothing here reads or writes simulated state, so profiling
  * cannot perturb the simulation; it only adds host time, which is why
  * profiled runs bypass the result cache and are never used for
  * perf-gate timing.
@@ -60,7 +60,7 @@ class HostProfiler
     /** Barrier stall charged to shard `s` for the current epoch. */
     void recordStall(std::uint32_t s, std::uint64_t stall_ns);
 
-    /** Barrier-time fabric delivery (single-threaded, not per shard). */
+    /** Barrier-time fabric delivery (not per shard). */
     void addFabricDrain(std::uint64_t ns);
 
     /**

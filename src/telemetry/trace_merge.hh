@@ -2,7 +2,7 @@
  * @file
  * Post-run merger for sharded Chrome traces: folds the per-shard
  * `.s<k>` streams written by TraceWriter into one trace document at
- * the un-suffixed path, so a `--shards N --trace` run ends with a
+ * the un-suffixed path, so a sliced `--trace-out` run ends with a
  * single file whose track groups are the shards (pid == shard id) and
  * whose fabric flow arrows connect them.
  *

@@ -6,16 +6,19 @@
  * access sequence) drive a 4-shard audited System. Every stream must
  * (a) complete with all four per-slice auditors quiet — the auditors
  * panic on any dirty-state divergence, including cross-shard ordering
- * bugs that corrupt a slice's DBI — and (b) be bit-identical between
- * 1-worker and 4-worker execution, auditors and all.
+ * bugs that corrupt a slice's DBI — and (b) be bit-identical when run
+ * again, auditors and final memory images included, also when several
+ * Systems run at once on different host threads (sweep-level `--jobs`).
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "audit/shadow_model.hh"
 #include "common/rng.hh"
 #include "sim/system.hh"
 #include "support/temp_path.hh"
@@ -90,14 +93,13 @@ writeTraces(int stream, const std::string &dir)
 }
 
 SystemConfig
-auditedShardedConfig(MechanismSpec mech, std::uint32_t shards)
+auditedShardedConfig(MechanismSpec mech)
 {
     SystemConfig cfg;
     cfg.mech = mech;
     cfg.numCores = 4;
     cfg.llcSlices = 4;
     cfg.dram.channels = 4;
-    cfg.numShards = shards;
     cfg.core.warmupInstrs = 8'000;
     cfg.core.measureInstrs = 8'000;
     cfg.auditEvery = 256;  // aggressive: cross-check every 256 events
@@ -121,14 +123,12 @@ TEST(PropertyShards, AuditedShardedRunsStayQuietAndThreadInvariant)
     for (int i = 0; i < kStreams; ++i) {
         WorkloadMix mix = writeTraces(i, dir);
         for (const std::string &name : kMechanisms) {
-            SystemConfig cfg =
-                auditedShardedConfig(mechanismByName(name), 1);
-            System serial(cfg, mix);
-            SimResult a = serial.run();  // auditor panics on divergence
-
-            cfg.numShards = 4;
-            System parallel(cfg, mix);
-            SimResult b = parallel.run();
+            const SystemConfig cfg =
+                auditedShardedConfig(mechanismByName(name));
+            System first(cfg, mix);
+            SimResult a = first.run();  // auditor panics on divergence
+            System again(cfg, mix);
+            SimResult b = again.run();
 
             const std::string what =
                 name + " stream " + std::to_string(i);
@@ -136,14 +136,19 @@ TEST(PropertyShards, AuditedShardedRunsStayQuietAndThreadInvariant)
             EXPECT_EQ(a.ipc, b.ipc) << what;
             EXPECT_EQ(a.windowCycles, b.windowCycles) << what;
 
-            // The auditors observed real traffic on every slice, and
-            // saw the exact same event stream at both thread counts.
+            // The auditors observed real traffic on every slice, saw
+            // the same event stream both times, and each slice ended
+            // with the same memory image. (The run itself already
+            // enforces mechanism-vs-shadow image equality per slice.)
             for (std::uint32_t s = 0; s < 4; ++s) {
-                ASSERT_NE(serial.sliceAuditor(s), nullptr);
-                EXPECT_EQ(serial.sliceAuditor(s)->eventsObserved(),
-                          parallel.sliceAuditor(s)->eventsObserved())
+                ASSERT_NE(first.sliceAuditor(s), nullptr);
+                EXPECT_EQ(first.sliceAuditor(s)->eventsObserved(),
+                          again.sliceAuditor(s)->eventsObserved())
                     << what << " slice " << s;
-                EXPECT_GT(serial.sliceAuditor(s)->checksRun(), 0u)
+                EXPECT_GT(first.sliceAuditor(s)->checksRun(), 0u)
+                    << what << " slice " << s;
+                EXPECT_TRUE(first.sliceAuditor(s)->finalImage() ==
+                            again.sliceAuditor(s)->finalImage())
                     << what << " slice " << s;
             }
         }
@@ -154,24 +159,44 @@ TEST(PropertyShards, FinalImagesAreThreadCountInvariantPerSlice)
 {
     // The run itself already enforces mechanism-vs-shadow image
     // equality per slice (System panics otherwise). On top of that,
-    // the image each slice ends with must not depend on the worker
-    // count — the strongest per-slice statement of determinism.
+    // the image each slice ends with must not depend on how many host
+    // threads run Systems at once: each mechanism alone, then both
+    // mechanisms twice over on four threads side by side.
+    using Images = std::vector<audit::MemoryImage>;
     const test::TempPath dir;
     std::filesystem::create_directories(dir.str());
-    WorkloadMix mix = writeTraces(97, dir);
+    const WorkloadMix mix = writeTraces(97, dir);
+    const std::vector<std::string> names = {"DBI", "DBI+AWB+CLB"};
+    std::vector<SystemConfig> cfgs;
+    for (const std::string &name : names)
+        cfgs.push_back(auditedShardedConfig(mechanismByName(name)));
 
-    for (const std::string &name : {std::string("DBI"),
-                                    std::string("DBI+AWB+CLB")}) {
-        SystemConfig cfg = auditedShardedConfig(mechanismByName(name), 1);
-        System serial(cfg, mix);
-        serial.run();
-        cfg.numShards = 4;
-        System parallel(cfg, mix);
-        parallel.run();
+    auto runImages = [&mix](const SystemConfig &cfg) {
+        System sys(cfg, mix);
+        sys.run();
+        Images images;
+        for (std::uint32_t s = 0; s < 4; ++s)
+            images.push_back(sys.sliceAuditor(s)->finalImage());
+        return images;
+    };
+    std::vector<Images> alone;
+    for (const SystemConfig &cfg : cfgs)
+        alone.push_back(runImages(cfg));
+    std::vector<Images> pooled(2 * cfgs.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < pooled.size(); ++t) {
+        threads.emplace_back([&, t] {
+            pooled[t] = runImages(cfgs[t % cfgs.size()]);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    for (std::size_t t = 0; t < pooled.size(); ++t) {
+        const std::size_t m = t % cfgs.size();
         for (std::uint32_t s = 0; s < 4; ++s) {
-            EXPECT_TRUE(serial.sliceAuditor(s)->finalImage() ==
-                        parallel.sliceAuditor(s)->finalImage())
-                << name << " slice " << s;
+            EXPECT_TRUE(alone[m][s] == pooled[t][s])
+                << names[m] << " thread " << t << " slice " << s;
         }
     }
 }

@@ -10,11 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -363,49 +361,6 @@ TEST(ShardFabric, SingleShardHopStillDelaysSelfMessages)
     mesh.epoch(31);
     mesh.epoch(63);
     EXPECT_EQ(delivered, 39u);
-}
-
-TEST(ShardWorkers, EachWorkerRunsOncePerRunAndItsWritesAreVisible)
-{
-    // Back-to-back runs keep the workers on the spin-wait side of the
-    // barrier. The stamps are plain ints: run() returning must order
-    // every worker's writes before the caller's reads (ThreadSanitizer
-    // checks that in the tsan build).
-    ShardWorkers pool(4);
-    std::vector<int> stamp(pool.count(), -1);
-    std::vector<int> calls(pool.count(), 0);
-    int round = 0;
-    const std::function<void(std::uint32_t)> fn = [&](std::uint32_t w) {
-        stamp[w] = round;
-        ++calls[w];
-    };
-    for (round = 0; round < 20'000; ++round) {
-        pool.run(fn);
-        for (std::uint32_t w = 0; w < pool.count(); ++w) {
-            ASSERT_EQ(stamp[w], round) << "worker " << w;
-        }
-    }
-    for (std::uint32_t w = 0; w < pool.count(); ++w) {
-        EXPECT_EQ(calls[w], 20'000) << "worker " << w;
-    }
-}
-
-TEST(ShardWorkers, SleepingWorkersWakeForTheNextRun)
-{
-    // A gap far longer than the spin-wait puts every worker to sleep
-    // on the condition variable; a lost wakeup would hang run().
-    ShardWorkers pool(3);
-    std::vector<int> calls(pool.count(), 0);
-    const std::function<void(std::uint32_t)> fn = [&](std::uint32_t w) {
-        ++calls[w];
-    };
-    for (int round = 0; round < 20; ++round) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        pool.run(fn);
-    }
-    for (std::uint32_t w = 0; w < pool.count(); ++w) {
-        EXPECT_EQ(calls[w], 20) << "worker " << w;
-    }
 }
 
 } // namespace

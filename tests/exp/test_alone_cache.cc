@@ -123,7 +123,6 @@ TEST(AloneRunConfig, PinsTheCanonicalTopology)
     base.llcSlices = 4;
     base.dram.channels = 4;
     base.shardHopLatency = 64;
-    base.numShards = 8;
     base.seed = 42;
     base.core.warmupInstrs = 123;
 
@@ -133,7 +132,6 @@ TEST(AloneRunConfig, PinsTheCanonicalTopology)
     EXPECT_EQ(alone.llcSlices, 1u);
     EXPECT_EQ(alone.dram.channels, 1u);
     EXPECT_EQ(alone.shardHopLatency, 0u);
-    EXPECT_EQ(alone.numShards, 0u);
     // Scalar parameters are inherited untouched.
     EXPECT_EQ(alone.seed, 42u);
     EXPECT_EQ(alone.core.warmupInstrs, 123u);

@@ -105,9 +105,9 @@ TEST(SweepSpecHash, DistinguishesContentNotExecution)
     c.overrideConfigs([](SystemConfig &cfg) { cfg.seed = 99; });
     EXPECT_NE(sweepSpecHash(a), sweepSpecHash(c));
 
-    // numShards is execution-only: same sweep, same hash.
+    // The auditor only observes: same sweep, same hash.
     SweepSpec d = tinySweep();
-    d.overrideConfigs([](SystemConfig &cfg) { cfg.numShards = 8; });
+    d.overrideConfigs([](SystemConfig &cfg) { cfg.auditEvery = 1; });
     EXPECT_EQ(sweepSpecHash(a), sweepSpecHash(d));
 }
 

@@ -53,7 +53,6 @@ TEST(CanonicalConfig, ExecutionKnobsAndObserversAreExcluded)
 {
     SystemConfig a;
     SystemConfig b = a;
-    b.numShards = 8;
     b.auditEvery = 1;
     b.telemetry.histograms = true;
     b.profile = true;
@@ -202,7 +201,6 @@ TEST(CanonicalPoint, MixSimFoldsInThePinnedAloneConfig)
     alone_c.llcSlices = 4;
     alone_c.dram.channels = 4;
     alone_c.shardHopLatency = 64;
-    alone_c.numShards = 8;
     EXPECT_EQ(canonicalPoint(p, alone_a), canonicalPoint(p, alone_c));
 }
 

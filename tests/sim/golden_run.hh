@@ -20,14 +20,35 @@
 
 namespace dbsim::golden {
 
-/** One golden point: a Table 2 preset label and a workload mix. */
+/**
+ * One golden point: a Table 2 preset, a workload mix, and the machine
+ * it runs on. `machine` is empty for the unsliced machine of
+ * goldenConfig(); otherwise it names a sliced variant, built from
+ * slicedGoldenConfig() and reshaped by `shape` (nullptr: as is).
+ */
 struct GoldenRun
 {
     const char *preset;
     WorkloadMix mix;
+    const char *machine = "";
+    void (*shape)(SystemConfig &) = nullptr;
 };
 
-/** Preset x mix grid the snapshot covers (single- and dual-core). */
+/** The run's header label: the preset, plus the machine when sliced. */
+inline std::string
+goldenLabel(const GoldenRun &g)
+{
+    return *g.machine ? std::string(g.preset) + " @ " + g.machine
+                      : std::string(g.preset);
+}
+
+/**
+ * Preset x mix grid the snapshot covers: every preset on single- and
+ * dual-core unsliced machines, then sliced machines (every preset on 4
+ * slices x 4 channels, asymmetric slice/channel counts, short and long
+ * fabric hops, both DRAM-cache dirty-tracking modes, and a sampled
+ * run), which pin the epoch engine's fabric delivery order.
+ */
 inline const std::vector<GoldenRun> &
 goldenRuns()
 {
@@ -42,6 +63,43 @@ goldenRuns()
             out.push_back({p, WorkloadMix{"mcf"}});
             out.push_back({p, WorkloadMix{"mcf", "lbm"}});
         }
+
+        const WorkloadMix pairs = {"mcf", "lbm", "mcf", "lbm"};
+        const WorkloadMix varied = {"libquantum", "stream", "mcf", "lbm"};
+        const WorkloadMix streams = {"stream", "stream", "stream",
+                                     "stream"};
+        for (const char *p : presets) {
+            out.push_back({p, pairs, "4s4c"});
+        }
+        out.push_back({"DBI", varied, "4s2c",
+                       [](SystemConfig &c) { c.dram.channels = 2; }});
+        out.push_back({"DBI", varied, "2s4c",
+                       [](SystemConfig &c) { c.llcSlices = 2; }});
+        out.push_back({"TA-DIP", streams, "4s4c hop1",
+                       [](SystemConfig &c) { c.shardHopLatency = 1; }});
+        out.push_back({"TA-DIP", streams, "4s4c hop16",
+                       [](SystemConfig &c) { c.shardHopLatency = 16; }});
+        out.push_back({"TA-DIP", streams, "4s4c hop128",
+                       [](SystemConfig &c) { c.shardHopLatency = 128; }});
+        out.push_back({"DBI", pairs, "4s4c dcache-index",
+                       [](SystemConfig &c) {
+                           c.dcache.enable = true;
+                           c.dcache.sizeBytes = 2ull << 20;
+                           c.dcache.indexEntries = 64;
+                       }});
+        out.push_back({"DBI", pairs, "4s4c dcache-tags",
+                       [](SystemConfig &c) {
+                           c.dcache.enable = true;
+                           c.dcache.sizeBytes = 2ull << 20;
+                           c.dcache.indexEntries = 64;
+                           c.dcache.dirtyInTags = true;
+                       }});
+        out.push_back({"DBI", {"mcf", "mcf", "mcf", "mcf"}, "4s4c sampled",
+                       [](SystemConfig &c) {
+                           c.sampling.ffOps = 50'000;
+                           c.sampling.sampleOps = 5'000;
+                           c.sampling.periodOps = 15'000;
+                       }});
         return out;
     }();
     return runs;
@@ -60,6 +118,38 @@ goldenConfig(std::uint32_t num_cores)
     cfg.core.measureInstrs = 200'000;
     cfg.seed = 1;
     cfg.auditEvery = 1024;  // audited throughout (passive, stat-free)
+    return cfg;
+}
+
+/** The sliced golden machine: 4 cores, 4 LLC slices, 4 DRAM channels. */
+inline SystemConfig
+slicedGoldenConfig()
+{
+    SystemConfig cfg;
+    cfg.numCores = 4;
+    cfg.llcSlices = 4;
+    cfg.dram.channels = 4;
+    cfg.core.warmupInstrs = 40'000;
+    cfg.core.measureInstrs = 30'000;
+    // Short predictor epoch so Skip/CLB mechanisms train in this run.
+    cfg.pred.epochCycles = 100'000;
+    cfg.seed = 1;
+    cfg.auditEvery = 1024;
+    return cfg;
+}
+
+/** The complete configuration of one golden run. */
+inline SystemConfig
+goldenRunConfig(const GoldenRun &g)
+{
+    SystemConfig cfg =
+        *g.machine
+            ? slicedGoldenConfig()
+            : goldenConfig(static_cast<std::uint32_t>(g.mix.size()));
+    if (g.shape) {
+        g.shape(cfg);
+    }
+    cfg.mech = mechanismByName(g.preset);
     return cfg;
 }
 

@@ -2,10 +2,10 @@
  * @file
  * Mechanism-equivalence golden suite: every Table 2 preset, run through
  * the composed-policy LLC (DirtyStore x WritebackPolicy x LookupPolicy,
- * see src/llc/policies.hh), must reproduce the frozen pre-refactor
- * stats snapshot in tests/sim/mechanism_golden.inc bit for bit — IPCs
- * and derived metrics at %.17g (round-trip exact for doubles), every
- * registered counter at full width. Regenerate the snapshot only for an
+ * see src/llc/policies.hh), on unsliced and sliced machines, must
+ * reproduce the frozen stats snapshot in tests/sim/mechanism_golden.inc
+ * bit for bit — IPCs and derived metrics at %.17g (round-trip exact for
+ * doubles), every registered counter at full width. Regenerate the snapshot only for an
  * intentional behavior change, via the gen_mechanism_golden tool.
  */
 
@@ -56,15 +56,11 @@ class MechanismGolden : public testing::TestWithParam<std::size_t>
 TEST_P(MechanismGolden, PresetReproducesSnapshotExactly)
 {
     const golden::GoldenRun &g = golden::goldenRuns()[GetParam()];
-    SystemConfig cfg =
-        golden::goldenConfig(static_cast<std::uint32_t>(g.mix.size()));
-    cfg.mech = mechanismByName(g.preset);
+    const SimResult r = runWorkload(golden::goldenRunConfig(g), g.mix);
+    const std::string label = golden::goldenLabel(g);
+    const std::string got = golden::goldenSerialize(label, g.mix, r);
 
-    const SimResult r = runWorkload(cfg, g.mix);
-    const std::string got = golden::goldenSerialize(g.preset, g.mix, r);
-
-    const std::string key =
-        "run " + std::string(g.preset) + " | " + mixLabel(g.mix);
+    const std::string key = "run " + label + " | " + mixLabel(g.mix);
     static const std::map<std::string, std::string> blocks =
         goldenBlocks();
     auto it = blocks.find(key);
@@ -76,8 +72,10 @@ std::string
 goldenTestName(const testing::TestParamInfo<std::size_t> &info)
 {
     const golden::GoldenRun &g = golden::goldenRuns()[info.param];
-    std::string name =
-        std::string(g.preset) + "_" + mixLabel(g.mix);
+    std::string name = std::string(g.preset) + "_" + mixLabel(g.mix);
+    if (*g.machine) {
+        name = std::string("Sliced_") + g.machine + "_" + name;
+    }
     for (char &c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) {
             c = '_';
@@ -97,7 +95,7 @@ TEST(MechanismGolden, SnapshotCoversEveryPresetAndMix)
     EXPECT_EQ(blocks.size(), golden::goldenRuns().size());
     for (const golden::GoldenRun &g : golden::goldenRuns()) {
         const std::string key =
-            "run " + std::string(g.preset) + " | " + mixLabel(g.mix);
+            "run " + golden::goldenLabel(g) + " | " + mixLabel(g.mix);
         EXPECT_TRUE(blocks.count(key)) << key;
     }
 }

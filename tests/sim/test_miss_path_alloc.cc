@@ -107,7 +107,6 @@ slicedRun(std::uint64_t measure_instrs)
     cfg.numCores = 4;
     cfg.llcSlices = 4;
     cfg.dram.channels = 4;
-    cfg.numShards = 1;
     cfg.auditEvery = 0;
     cfg.core.warmupInstrs = 100'000;
     cfg.core.measureInstrs = measure_instrs;

@@ -4,7 +4,7 @@
  *
  *  1. Sampling disabled is not a mode — a zeroed SamplingConfig must be
  *     bit-identical to a config that never mentions sampling, across
- *     the mechanism matrix and across worker counts.
+ *     the mechanism matrix.
  *  2. An all-detailed sampling config (sampleOps == periodOps, no
  *     fast-forward) measures every op: it must also be bit-identical
  *     to the plain run, proving the wrapper adds nothing when it has
@@ -12,6 +12,8 @@
  *  3. Seeded fast-forward + periodic sampling is an IPC *estimator*:
  *     on a stationary trace its IPC must land within a bounded
  *     relative error of the full detailed run over the same trace.
+ *
+ * A sampled sliced run is pinned by the mechanism golden suite.
  */
 
 #include <gtest/gtest.h>
@@ -126,24 +128,6 @@ TEST(Sampling, DisabledConfigIsBitIdenticalAcrossMechanisms)
     }
 }
 
-TEST(Sampling, DisabledConfigIsBitIdenticalAcrossWorkerCounts)
-{
-    // Trace-driven, sliced, sampling off: the worker-count golden
-    // invariant must keep holding with the trace front-end in place.
-    SystemConfig cfg = traceConfig(Mechanism::DbiAwb);
-    cfg.numCores = 4;
-    cfg.llcSlices = 4;
-    cfg.dram.channels = 4;
-    cfg.core.warmupInstrs = 10'000;
-    cfg.core.measureInstrs = 30'000;
-    WorkloadMix mix = {"mcf", "mcf", "mcf", "mcf"};
-    cfg.numShards = 1;
-    SimResult serial = runWorkload(cfg, mix);
-    cfg.numShards = 4;
-    SimResult parallel = runWorkload(cfg, mix);
-    expectIdentical(serial, parallel, "shards 1 vs 4");
-}
-
 TEST(Sampling, AllDetailedWindowIsBitIdenticalToPlainRun)
 {
     // sampleOps == periodOps with no fast-forward: every window is
@@ -161,22 +145,6 @@ TEST(Sampling, AllDetailedWindowIsBitIdenticalToPlainRun)
     }
 }
 
-TEST(Sampling, SampledRunExecutesOnOneWorker)
-{
-    // Functional warming crosses shard boundaries by direct call, so a
-    // sampled system must force single-worker execution regardless of
-    // the requested shard count (stat-safe: worker count never changes
-    // statistics).
-    SystemConfig cfg = traceConfig(Mechanism::Dbi);
-    cfg.numCores = 4;
-    cfg.llcSlices = 4;
-    cfg.numShards = 4;
-    cfg.sampling.ffOps = 50'000;
-    System sys(cfg, {"mcf", "mcf", "mcf", "mcf"});
-    EXPECT_EQ(sys.numWorkers(), 1u);
-    sys.run();
-}
-
 TEST(Sampling, SampledRunsAreDeterministicAcrossRepeats)
 {
     SystemConfig cfg = traceConfig(Mechanism::DbiAwb);
@@ -186,26 +154,6 @@ TEST(Sampling, SampledRunsAreDeterministicAcrossRepeats)
     SimResult a = runWorkload(cfg, {"mcf"});
     SimResult b = runWorkload(cfg, {"mcf"});
     expectIdentical(a, b, "sampled repeat");
-}
-
-TEST(Sampling, RequestedShardCountDoesNotChangeSampledResults)
-{
-    // numShards stays an execution knob under sampling: whatever the
-    // caller asks for, results are those of the single-worker machine.
-    SystemConfig cfg = traceConfig(Mechanism::Dbi);
-    cfg.numCores = 4;
-    cfg.llcSlices = 4;
-    cfg.core.warmupInstrs = 10'000;
-    cfg.core.measureInstrs = 30'000;
-    cfg.sampling.ffOps = 50'000;
-    cfg.sampling.sampleOps = 5'000;
-    cfg.sampling.periodOps = 15'000;
-    WorkloadMix mix = {"mcf", "mcf", "mcf", "mcf"};
-    cfg.numShards = 1;
-    SimResult one = runWorkload(cfg, mix);
-    cfg.numShards = 4;
-    SimResult four = runWorkload(cfg, mix);
-    expectIdentical(one, four, "sampled shards 1 vs 4");
 }
 
 TEST(Sampling, SampledIpcTracksFullRunWithinBound)

@@ -1,17 +1,25 @@
 /**
  * @file
- * The new golden invariant: `numShards` is a pure execution knob. A
- * partitioned machine simulated on 1 worker thread and on N worker
- * threads must produce bit-identical results — every counter, every
- * per-core IPC, every derived metric. This is what the epoch-barrier
- * scheme (common/shard.hh) promises; these tests hold it to that over
- * the full mechanism preset matrix, several workload mixes, asymmetric
- * slice/channel counts, and every worker count from 1 to partitions.
+ * Sliced-machine determinism: the epoch engine (common/shard.hh) must
+ * reproduce a run bit for bit — every counter, every per-core IPC,
+ * every derived metric — and the fabric hop must act as a real
+ * simulated latency. The results themselves are pinned by the sliced
+ * runs of the mechanism golden suite (sim/golden_run.hh).
+ *
+ * Each partitioned machine runs its epochs on one host thread; the
+ * host parallelism left is sweep-level (`--jobs`), several Systems at
+ * once on different threads. The thread-count tests hold that to the
+ * same law: a sliced run on a thread of its own and the same run next
+ * to others on a busy pool agree bit for bit, which fails if any
+ * simulator state is shared between Systems.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/mechanism.hh"
@@ -19,12 +27,6 @@
 
 namespace dbsim {
 namespace {
-
-const std::vector<WorkloadMix> kMixes = {
-    {"stream", "stream", "stream", "stream"},
-    {"mcf", "lbm", "mcf", "lbm"},
-    {"libquantum", "stream", "mcf", "lbm"},
-};
 
 SystemConfig
 slicedConfig(MechanismSpec mech)
@@ -60,91 +62,100 @@ expectIdentical(const SimResult &a, const SimResult &b,
     EXPECT_EQ(a.metadata, b.metadata) << what;
 }
 
-SimResult
-runWithShards(SystemConfig cfg, const WorkloadMix &mix,
-              std::uint32_t shards)
+const std::vector<WorkloadMix> kMixes = {
+    {"stream", "stream", "stream", "stream"},
+    {"mcf", "lbm", "mcf", "lbm"},
+    {"libquantum", "stream", "mcf", "lbm"},
+};
+
+/** Host threads in the concurrent pool (the `--jobs 4` of a sweep). */
+constexpr unsigned kThreads = 4;
+
+/**
+ * Run `job(i)` for every i < n on kThreads host threads at once, each
+ * index on whichever thread takes it first.
+ */
+template <typename Job>
+void
+runOnThreads(std::size_t n, Job job)
 {
-    cfg.numShards = shards;
-    return runWorkload(cfg, mix);
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&] {
+            for (std::size_t i; (i = next++) < n;)
+                job(i);
+        });
+    }
+    for (std::thread &t : pool)
+        t.join();
+}
+
+/**
+ * Every config run alone, then all of them on the pool at once; the
+ * two must agree. Returns the results of the lone runs.
+ */
+std::vector<SimResult>
+expectThreadCountInvariant(const std::vector<SystemConfig> &cfgs,
+                           const std::vector<std::string> &names,
+                           const WorkloadMix &mix)
+{
+    std::vector<SimResult> serial;
+    for (const SystemConfig &cfg : cfgs)
+        serial.push_back(runWorkload(cfg, mix));
+    std::vector<SimResult> pooled(cfgs.size());
+    runOnThreads(cfgs.size(), [&](std::size_t i) {
+        pooled[i] = runWorkload(cfgs[i], mix);
+    });
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+        expectIdentical(serial[i], pooled[i], names[i]);
+    return serial;
 }
 
 TEST(ShardIdentity, EveryPresetIsThreadCountInvariant)
 {
-    // The full Table 2 matrix x 3 mixes, 1 worker vs 4 workers.
-    for (Mechanism m : allMechanisms()) {
-        for (std::size_t i = 0; i < kMixes.size(); ++i) {
-            SystemConfig cfg = slicedConfig(m);
-            SimResult serial = runWithShards(cfg, kMixes[i], 1);
-            SimResult parallel = runWithShards(cfg, kMixes[i], 4);
-            expectIdentical(serial, parallel,
-                            std::string(mechanismName(m)) + " mix " +
-                                std::to_string(i));
+    // The full Table 2 matrix x 3 mixes, alone vs on a 4-thread pool.
+    for (std::size_t i = 0; i < kMixes.size(); ++i) {
+        std::vector<SystemConfig> cfgs;
+        std::vector<std::string> names;
+        for (Mechanism m : allMechanisms()) {
+            cfgs.push_back(slicedConfig(m));
+            names.push_back(std::string(mechanismName(m)) + " mix " +
+                            std::to_string(i));
         }
+        expectThreadCountInvariant(cfgs, names, kMixes[i]);
     }
-}
-
-TEST(ShardIdentity, EveryWorkerCountAgrees)
-{
-    // Non-power-of-two worker counts exercise uneven shard->worker
-    // assignment (4 partitions on 3 workers: one worker runs two).
-    SystemConfig cfg = slicedConfig(Mechanism::DbiAwbClb);
-    SimResult ref = runWithShards(cfg, kMixes[1], 1);
-    for (std::uint32_t shards : {2u, 3u, 4u}) {
-        SimResult r = runWithShards(cfg, kMixes[1], shards);
-        expectIdentical(ref, r,
-                        "numShards=" + std::to_string(shards));
-    }
-}
-
-TEST(ShardIdentity, AsymmetricSliceChannelMachinesAgree)
-{
-    // Slices != channels: partitions follow the larger axis, some
-    // shards own a slice but no channel — the routing asymmetry the
-    // mailbox has to get right in both directions.
-    SystemConfig cfg = slicedConfig(Mechanism::Dbi);
-    cfg.llcSlices = 4;
-    cfg.dram.channels = 2;
-    SimResult serial = runWithShards(cfg, kMixes[2], 1);
-    SimResult parallel = runWithShards(cfg, kMixes[2], 4);
-    expectIdentical(serial, parallel, "4 slices / 2 channels");
-
-    cfg.llcSlices = 2;
-    cfg.dram.channels = 4;
-    serial = runWithShards(cfg, kMixes[2], 1);
-    parallel = runWithShards(cfg, kMixes[2], 4);
-    expectIdentical(serial, parallel, "2 slices / 4 channels");
 }
 
 TEST(ShardIdentity, ShardedRunsAreDeterministicAcrossRepeats)
 {
-    // Same config, same thread count, two runs: the parallel engine
-    // must also be deterministic against itself (no dependence on
-    // host-thread scheduling).
+    // Same config, two runs: the epoch engine must be deterministic
+    // against itself, event count included.
     SystemConfig cfg = slicedConfig(Mechanism::DbiAwb);
-    SimResult a = runWithShards(cfg, kMixes[1], 4);
-    SimResult b = runWithShards(cfg, kMixes[1], 4);
-    expectIdentical(a, b, "repeat");
+    const WorkloadMix mix = {"mcf", "lbm", "mcf", "lbm"};
+    System a(cfg, mix);
+    System b(cfg, mix);
+    expectIdentical(a.run(), b.run(), "repeat");
+    EXPECT_EQ(a.eventsDispatched(), b.eventsDispatched());
 }
 
 TEST(ShardIdentity, HopLatencyChangesStatsButNotIdentity)
 {
     // The hop is part of the simulated machine: varying it must change
-    // results (it's a real latency), while thread-count invariance
-    // holds at every value — including the minimum W=1, where the
-    // epoch engine degenerates to near-lockstep.
+    // results (it's a real latency), while each value stays repeatable
+    // — including the minimum W=1, where the epoch engine degenerates
+    // to near-lockstep.
     SystemConfig cfg = slicedConfig(Mechanism::TaDip);
+    const WorkloadMix mix = {"stream", "stream", "stream", "stream"};
     cfg.shardHopLatency = 64;
-    SimResult base = runWithShards(cfg, kMixes[0], 1);
+    SimResult base = runWorkload(cfg, mix);
     for (Cycle hop : {1u, 16u, 128u}) {
         cfg.shardHopLatency = hop;
-        SimResult serial = runWithShards(cfg, kMixes[0], 1);
-        SimResult parallel = runWithShards(cfg, kMixes[0], 4);
-        expectIdentical(serial, parallel,
-                        "hop=" + std::to_string(hop));
-        if (hop != 64) {
-            EXPECT_NE(serial.windowCycles, base.windowCycles)
-                << "hop latency should be a real simulated latency";
-        }
+        SimResult first = runWorkload(cfg, mix);
+        SimResult again = runWorkload(cfg, mix);
+        expectIdentical(first, again, "hop=" + std::to_string(hop));
+        EXPECT_NE(first.windowCycles, base.windowCycles)
+            << "hop latency should be a real simulated latency";
     }
 }
 
@@ -152,32 +163,43 @@ TEST(ShardIdentity, DCacheTierIsThreadCountInvariantInBothModes)
 {
     // The interposed DRAM-cache level adds per-slice state below the
     // LLC (and, in index mode, a second DBI-style structure). Both
-    // dirty-tracking modes must preserve the execution-knob guarantee.
+    // dirty-tracking modes must keep a run independent of the threads
+    // around it.
+    std::vector<SystemConfig> cfgs;
     for (bool tags : {false, true}) {
         SystemConfig cfg = slicedConfig(Mechanism::Dbi);
         cfg.dcache.enable = true;
         cfg.dcache.sizeBytes = 2ull << 20;  // 512KB/slice: real evictions
         cfg.dcache.indexEntries = 64;
         cfg.dcache.dirtyInTags = tags;
-        SimResult serial = runWithShards(cfg, kMixes[1], 1);
-        SimResult parallel = runWithShards(cfg, kMixes[1], 4);
-        expectIdentical(serial, parallel,
-                        tags ? "dirty-in-tags" : "dirty-index");
-        EXPECT_GT(serial.stats.at("dcache.reads"), 0u);
+        cfgs.push_back(cfg);
     }
+    // Each mode twice, so the pool runs both modes side by side.
+    cfgs.push_back(cfgs[0]);
+    cfgs.push_back(cfgs[1]);
+    const std::vector<std::string> names = {
+        "dirty-index", "dirty-in-tags", "dirty-index (2nd)",
+        "dirty-in-tags (2nd)"};
+    const std::vector<SimResult> serial =
+        expectThreadCountInvariant(cfgs, names, kMixes[1]);
+    EXPECT_GT(serial[0].stats.at("dcache.reads"), 0u);
+    EXPECT_GT(serial[1].stats.at("dcache.reads"), 0u);
 }
 
 TEST(ShardIdentity, EventCountIsThreadCountInvariant)
 {
-    SystemConfig cfg = slicedConfig(Mechanism::Dbi);
-    cfg.numShards = 1;
-    System serial(cfg, kMixes[0]);
-    serial.run();
-    cfg.numShards = 4;
-    System parallel(cfg, kMixes[0]);
-    parallel.run();
-    EXPECT_EQ(serial.eventsDispatched(), parallel.eventsDispatched());
-    EXPECT_EQ(serial.numWorkers(), 1u);
+    const SystemConfig cfg = slicedConfig(Mechanism::Dbi);
+    EXPECT_EQ(cfg.topology().workers, 1u);
+    System alone(cfg, kMixes[0]);
+    alone.run();
+    std::vector<std::uint64_t> events(kThreads);
+    runOnThreads(kThreads, [&](std::size_t i) {
+        System pooled(cfg, kMixes[0]);
+        pooled.run();
+        events[i] = pooled.eventsDispatched();
+    });
+    for (std::uint64_t n : events)
+        EXPECT_EQ(alone.eventsDispatched(), n);
 }
 
 } // namespace

@@ -66,8 +66,6 @@ TEST(Topology, BigMachinesDeriveOneSlicePer16Cores)
     EXPECT_EQ(t.channels, 4u);  // defaults to one per slice
     EXPECT_EQ(t.partitions, 4u);
     EXPECT_EQ(t.hopLatency, 64u);
-    EXPECT_GE(t.workers, 1u);
-    EXPECT_LE(t.workers, 4u);
 }
 
 TEST(Topology, AsymmetricSliceChannelCountsPartitionByTheMax)
@@ -88,15 +86,17 @@ TEST(Topology, AsymmetricSliceChannelCountsPartitionByTheMax)
 
 TEST(Topology, NumShardsIsPureExecutionKnobClampedToPartitions)
 {
-    TopologySpec spec;
-    spec.numCores = 4;
-    spec.llcSlices = 2;
-    spec.numShards = 16;
-    spec.llcTotalBytes = 8ull << 20;
-    spec.llcAssoc = 32;
-    EXPECT_EQ(resolveTopology(spec).workers, 2u);
-    spec.numShards = 1;
-    EXPECT_EQ(resolveTopology(spec).workers, 1u);
+    // numShards accepts only 0 and 1, and every machine runs its
+    // partitions on one thread.
+    SystemConfig cfg;
+    cfg.numCores = 4;
+    cfg.llcSlices = 2;
+    for (std::uint32_t shards : {0u, 1u}) {
+        cfg.numShards = shards;
+        const ShardTopology t = cfg.topology();
+        EXPECT_EQ(t.partitions, 2u);
+        EXPECT_EQ(t.workers, 1u);
+    }
 }
 
 TEST(Topology, DbiRowsNeverStraddleSlicesOrChannels)
@@ -143,6 +143,17 @@ TEST(TopologyDeath, RejectsBadAxisCombinations)
     bad.llcSlices = 64;  // 128KB slices cannot hold a 32-way set? They
     bad.llcAssoc = 4096; // can; force it with an absurd associativity.
     EXPECT_DEATH(resolveTopology(bad), "cannot hold");
+}
+
+TEST(TopologyDeath, RejectsThreadedExecution)
+{
+    SystemConfig cfg;
+    cfg.numCores = 4;
+    cfg.llcSlices = 4;
+    cfg.numShards = 4;
+    EXPECT_DEATH(cfg.topology(),
+                 "numShards = 4: threaded execution of sliced machines "
+                 "was removed");
 }
 
 TEST(TopologyDeath, SystemConfigValidatesThroughTheSameChoke)

@@ -4,7 +4,10 @@
  * trace writer must not perturb the simulation (cycle- and
  * stat-identical runs), the drain-window durations traced through the
  * DramObserver seam must sum exactly to the controller's own
- * statDrainCycles, and the emitted artifacts must be well-formed.
+ * statDrainCycles, and the emitted artifacts must be well-formed. In a
+ * -DDBSIM_TELEMETRY=OFF build the hooks are compiled out: the
+ * perturbation checks still run, the tests that read telemetry output
+ * skip.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "common/prof.hh"
 #include "sim/system.hh"
 #include "support/temp_path.hh"
+#include "telemetry/telemetry.hh"
 
 namespace dbsim {
 namespace {
@@ -48,7 +52,7 @@ TEST(TelemetrySystem, SamplingAndHistogramsDoNotPerturbTheRun)
     EXPECT_EQ(a.windowCycles, b.windowCycles);
     EXPECT_EQ(a.stats, b.stats);
     EXPECT_TRUE(a.telemetry.empty());
-    EXPECT_FALSE(b.telemetry.empty());
+    EXPECT_EQ(b.telemetry.empty(), !telemetry::kEnabled);
 }
 
 TEST(TelemetrySystem, SampleZeroAndSampleNAreStatIdentical)
@@ -67,6 +71,9 @@ TEST(TelemetrySystem, SampleZeroAndSampleNAreStatIdentical)
 
 TEST(TelemetrySystem, TracedDrainWindowsSumToDrainCycles)
 {
+    if (!telemetry::kEnabled) {
+        GTEST_SKIP() << "telemetry compiled out";
+    }
     // The observer seam credits exactly what endDrain credits, so the
     // sum of traced window durations equals the lifetime drain-cycle
     // counter. A small LLC under write-heavy lbm evicts dirty blocks
@@ -90,6 +97,9 @@ TEST(TelemetrySystem, TracedDrainWindowsSumToDrainCycles)
 
 TEST(TelemetrySystem, DirtyPerRowHistogramShowsRowLocality)
 {
+    if (!telemetry::kEnabled) {
+        GTEST_SKIP() << "telemetry compiled out";
+    }
     // Paper Fig. 2: at writeback time, the victim's DRAM row usually
     // holds several other dirty blocks. lbm (streaming writes) must
     // show samples well above 1 dirty block per row; a small LLC keeps
@@ -110,6 +120,9 @@ TEST(TelemetrySystem, DirtyPerRowHistogramShowsRowLocality)
 
 TEST(TelemetrySystem, ReadLatencyHistogramsSplitByClass)
 {
+    if (!telemetry::kEnabled) {
+        GTEST_SKIP() << "telemetry compiled out";
+    }
     SystemConfig cfg = quickConfig(Mechanism::DbiAwbClb);
     cfg.pred.epochCycles = 100'000;
     cfg.telemetry.histograms = true;
@@ -128,6 +141,9 @@ TEST(TelemetrySystem, ReadLatencyHistogramsSplitByClass)
 
 TEST(TelemetrySystem, EpochRingCoversTheRun)
 {
+    if (!telemetry::kEnabled) {
+        GTEST_SKIP() << "telemetry compiled out";
+    }
     SystemConfig cfg = quickConfig(Mechanism::Dbi);
     cfg.telemetry.sampleEvery = 20'000;
     System sys(cfg, {"libquantum"});
@@ -152,6 +168,9 @@ TEST(TelemetrySystem, EpochRingCoversTheRun)
 
 TEST(TelemetrySystem, TraceFileIsWellFormedJson)
 {
+    if (!telemetry::kEnabled) {
+        GTEST_SKIP() << "telemetry compiled out";
+    }
     test::TempPath path(".trace.json");
     {
         SystemConfig cfg = quickConfig(Mechanism::DbiAwb);
@@ -205,7 +224,6 @@ TEST(TelemetrySystem, ShardedFlightRecorderIsAnObserver)
     plain.core.measureInstrs = 60'000;
     plain.llcSlices = 4;
     plain.dram.channels = 4;
-    plain.numShards = 4;
     WorkloadMix mix{"lbm", "libquantum", "mcf", "stream"};
     SimResult a = runWorkload(plain, mix);
 
@@ -241,6 +259,9 @@ TEST(TelemetrySystem, ShardedFlightRecorderIsAnObserver)
         }
     } else {
         EXPECT_TRUE(b.hostProfile.empty());
+    }
+    if (!telemetry::kEnabled) {
+        return;  // no trace streams to merge
     }
 
     std::ifstream merged(trace);

@@ -15,7 +15,7 @@ checks the three artifacts against their schemas:
      contiguous and strictly ordered, all registered channels present).
 
 Then runs a second, *sharded* leg — the flight-recorder check: the same
-binary at --slices 4 --channels 4 --shards 4 with --trace and --profile,
+binary at --slices 4 --channels 4 with --trace-out and --profile,
 which must produce ONE merged trace (the per-shard .s<k> streams folded
 together, pid = shard) whose cross-shard flow arrows pair up exactly:
 
@@ -211,7 +211,6 @@ def run_diag_sharded(binary, workdir):
     cmd = [
         str(binary),  # default mech/mix: DBI+AWB+CLB, 2 cores
         "--slices", str(SHARDS), "--channels", str(SHARDS),
-        "--shards", str(SHARDS),
         "--instrs", "100000",
         "--trace-out", str(paths["trace"]),
         "--profile",

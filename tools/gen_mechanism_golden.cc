@@ -25,11 +25,8 @@ main()
 {
     std::string body;
     for (const golden::GoldenRun &g : golden::goldenRuns()) {
-        SystemConfig cfg = golden::goldenConfig(
-            static_cast<std::uint32_t>(g.mix.size()));
-        cfg.mech = mechanismByName(g.preset);
-        SimResult r = runWorkload(cfg, g.mix);
-        body += golden::goldenSerialize(g.preset, g.mix, r);
+        SimResult r = runWorkload(golden::goldenRunConfig(g), g.mix);
+        body += golden::goldenSerialize(golden::goldenLabel(g), g.mix, r);
     }
     std::printf("// Generated by tools/gen_mechanism_golden.cc — "
                 "do not edit by hand.\n"
