@@ -164,7 +164,7 @@ format(const std::vector<exp::PointRecord> &records,
 
     bool any_meta = false;
     for (const auto &[name, value] : rec.metrics) {
-        if (name.rfind("ecc.", 0) != 0 && name.rfind("dir.", 0) != 0) {
+        if (name.rfind("ecc.", 0) != 0) {
             continue;
         }
         if (!any_meta) {

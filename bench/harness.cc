@@ -1,9 +1,12 @@
 #include "harness.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include <limits>
 #include <map>
 
 #include "common/logging.hh"
@@ -20,15 +23,33 @@ registry()
     return experiments;
 }
 
+/**
+ * A decimal number in [0, max]. strtoull alone would skip leading
+ * whitespace and negate a leading '-' (wrapping "-1" to 2^64-1), so the
+ * text must start with a digit.
+ */
 std::uint64_t
-parseUint(const char *flag, const std::string &text)
+parseUint(const char *flag, const std::string &text,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     char *end = nullptr;
+    errno = 0;
     std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    fatal_if(end == text.c_str() || *end != '\0',
+    fatal_if(!std::isdigit(static_cast<unsigned char>(text[0])) ||
+                 *end != '\0',
              "%s expects an unsigned integer, got '%s'", flag,
              text.c_str());
+    fatal_if(errno == ERANGE || v > max,
+             "%s value %s is out of range (max %llu)", flag, text.c_str(),
+             static_cast<unsigned long long>(max));
     return v;
+}
+
+std::uint32_t
+parseUint32(const char *flag, const std::string &text,
+            std::uint32_t max = std::numeric_limits<std::uint32_t>::max())
+{
+    return static_cast<std::uint32_t>(parseUint(flag, text, max));
 }
 
 void
@@ -180,8 +201,7 @@ harnessMain(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--jobs") == 0) {
-            opts.jobs = static_cast<std::uint32_t>(
-                parseUint(arg, needValue(i)));
+            opts.jobs = parseUint32(arg, needValue(i), exp::kMaxJobs);
             ++i;
         } else if (std::strcmp(arg, "--json") == 0) {
             opts.jsonPath = needValue(i);
@@ -207,12 +227,10 @@ harnessMain(int argc, char **argv)
             opts.auditEvery = parseUint(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--slices") == 0) {
-            opts.slices = static_cast<std::uint32_t>(
-                parseUint(arg, needValue(i)));
+            opts.slices = parseUint32(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--channels") == 0) {
-            opts.channels = static_cast<std::uint32_t>(
-                parseUint(arg, needValue(i)));
+            opts.channels = parseUint32(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--hop") == 0) {
             opts.hopLatency = parseUint(arg, needValue(i));
@@ -220,11 +238,13 @@ harnessMain(int argc, char **argv)
         } else if (std::strcmp(arg, "--dcache") == 0) {
             opts.dcache = true;
         } else if (std::strcmp(arg, "--dcache-mb") == 0) {
-            opts.dcacheMb = parseUint(arg, needValue(i));
+            // Stored in MB, applied in bytes (<< 20).
+            opts.dcacheMb = parseUint(
+                arg, needValue(i),
+                std::numeric_limits<std::uint64_t>::max() >> 20);
             ++i;
         } else if (std::strcmp(arg, "--dcache-rows") == 0) {
-            opts.dcacheRows = static_cast<std::uint32_t>(
-                parseUint(arg, needValue(i)));
+            opts.dcacheRows = parseUint32(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--dcache-tags") == 0) {
             opts.dcacheTags = true;

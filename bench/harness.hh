@@ -12,7 +12,9 @@
  *                                     composed '+'-spec ("dbi+dawb",
  *                                     "dbi+awb+ecc"); experiments that
  *                                     take a mechanism honor it
- *           [--jobs N]                parallel runs on N threads
+ *           [--jobs N]                parallel runs on up to N threads,
+ *                                     one per point at most (N <= 4096,
+ *                                     exp::kMaxJobs)
  *           [--json FILE]             one JSONL record per sweep point
  *           [--seed S]                base RNG seed (default 1)
  *           [--warmup N] [--measure N]   instruction-count overrides

@@ -1,5 +1,6 @@
 #include "runner.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -269,12 +270,15 @@ ExperimentRunner::run(const SweepSpec &spec)
         sink(records[p.index], secs);
     };
 
-    if (opts.jobs <= 1) {
+    const auto workers = static_cast<std::uint32_t>(
+        std::min<std::size_t>(opts.jobs, todo.size()));
+    if (workers <= 1) {
         for (const SweepPoint *p : todo) {
             evalOne(*p);
         }
     } else {
-        ThreadPool pool(opts.jobs);
+        ThreadPool pool(workers);
+        last.workers = pool.threadCount();
         for (const SweepPoint *p : todo) {
             pool.submit([&evalOne, p] { evalOne(*p); });
         }

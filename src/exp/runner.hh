@@ -27,10 +27,20 @@
 
 namespace dbsim::exp {
 
+/**
+ * Largest --jobs the bench CLI accepts: far above any host's core
+ * count, so a typo or a wrapped negative number is rejected before a
+ * thread exists instead of asking the OS for billions of them.
+ */
+inline constexpr std::uint32_t kMaxJobs = 4096;
+
 /** Execution knobs for one sweep. */
 struct RunOptions
 {
-    /** Worker threads; 0 or 1 means serial. */
+    /**
+     * Worker threads; 0 or 1 means serial. A run starts at most one
+     * worker per point it evaluates.
+     */
     std::uint32_t jobs = 1;
 
     /** When non-empty, append one JSONL record per point here. */
@@ -102,6 +112,7 @@ struct RunStats
     CacheStats cache;                ///< zeros when caching is off
     std::size_t resumedPoints = 0;   ///< restored from the checkpoint
     std::size_t evaluatedPoints = 0; ///< hits + simulated + custom
+    std::uint32_t workers = 0;       ///< pool threads started; 0 = serial
 };
 
 class ExperimentRunner

@@ -41,16 +41,9 @@ Llc::registerStats(StatSet &set)
     dirtyStorePtr->registerStats(set);
     wbPolicy->registerStats(set);
     lookupPol->registerStats(set);
-    for (MetadataIndex *m : metaIndexes) {
-        m->registerStats(set);
+    if (meta) {
+        meta->registerStats(set);
     }
-}
-
-void
-Llc::attachMetadata(MetadataIndex *index)
-{
-    fatal_if(!index, "attachMetadata: null metadata index");
-    metaIndexes.push_back(index);
 }
 
 Cycle
@@ -71,13 +64,10 @@ Llc::writeback(Addr block_addr, std::uint32_t core, Cycle when)
         auditor->onWritebackIn(a, when);
     }
     dirtyStorePtr->writebackIn(a, core, when);
-    if (!metaIndexes.empty() &&
-        dirtyStorePtr->kind() != DirtyStoreKind::WriteThrough) {
+    if (meta && dirtyStorePtr->kind() != DirtyStoreKind::WriteThrough) {
         // The block is now dirty under the store's bookkeeping (a
         // write-through store never dirties anything, so skip it there).
-        for (MetadataIndex *m : metaIndexes) {
-            m->onDirty(a, core, when);
-        }
+        meta->onDirty(a, core, when);
     }
     endAuditOp();
 }
@@ -169,8 +159,8 @@ Llc::writebackToDram(Addr block_addr, Cycle when)
 void
 Llc::notifyMetaCleaned(Addr block_addr, Cycle when)
 {
-    for (MetadataIndex *m : metaIndexes) {
-        m->onCleaned(block_addr, when);
+    if (meta) {
+        meta->onCleaned(block_addr, when);
     }
 }
 
@@ -195,8 +185,8 @@ Llc::normalRead(Addr block_addr, std::uint32_t core, Cycle when,
 
     TagStore::Probe p = store.probe(a);
     lookupPol->recordOutcome(a, core, p.hit, when);
-    for (MetadataIndex *m : metaIndexes) {
-        m->onRead(a, core, p.hit, when);
+    if (meta) {
+        meta->onRead(a, core, p.hit, when);
     }
 
     if (p.hit) {
@@ -426,8 +416,8 @@ Llc::fillBlock(const TagStore::Probe &p, std::uint32_t core, bool dirty,
         if (auditor) {
             auditor->onFill(block_addr, dirty, when);
         }
-        for (MetadataIndex *m : metaIndexes) {
-            m->onFill(block_addr, core, dirty, when);
+        if (meta) {
+            meta->onFill(block_addr, core, dirty, when);
         }
         return;
     }
@@ -435,16 +425,16 @@ Llc::fillBlock(const TagStore::Probe &p, std::uint32_t core, bool dirty,
     if (auditor) {
         auditor->onFill(block_addr, dirty, when);
     }
-    for (MetadataIndex *m : metaIndexes) {
-        m->onFill(block_addr, core, dirty, when);
+    if (meta) {
+        meta->onFill(block_addr, core, dirty, when);
     }
     if (ev.valid) {
         handleEviction(ev.block, ev.dirty, when);
         if (auditor) {
             auditor->onEviction(ev.block, when);
         }
-        for (MetadataIndex *m : metaIndexes) {
-            m->onEviction(ev.block, when);
+        if (meta) {
+            meta->onEviction(ev.block, when);
         }
     }
 }

@@ -11,9 +11,9 @@
  * WritebackPolicy (what a dirty eviction triggers), and a LookupPolicy
  * (whether reads may bypass the tag lookup). Table 2's mechanisms are
  * preset tuples over these axes (sim/mechanism.hh); arbitrary
- * combinations compose the same way. Additional per-block metadata
- * subsystems (hetero-ECC, the coherence directory) observe the block
- * lifecycle through the MetadataIndex seam (llc/metadata_index.hh).
+ * combinations compose the same way. A per-block metadata subsystem
+ * (the hetero-ECC tracker) observes the block lifecycle through the
+ * MetadataIndex seam (llc/metadata_index.hh).
  */
 
 #ifndef DBSIM_LLC_LLC_HH
@@ -190,12 +190,11 @@ class Llc : public LlcPort
     void attachTelemetry(telemetry::SimTelemetry *sink) { telem = sink; }
 
     /**
-     * Attach a metadata subsystem (hetero-ECC tracker, coherence
-     * directory). Indexes are passive observers of the block lifecycle
-     * — they must not perturb the cache's timing or statistics — and
-     * are notified in attachment order. The caller keeps ownership.
+     * Attach the metadata subsystem (the hetero-ECC tracker), a passive
+     * observer of the block lifecycle: it must not perturb the cache's
+     * timing or statistics. The caller keeps ownership.
      */
-    void attachMetadata(MetadataIndex *index);
+    void attachMetadata(MetadataIndex *index) { meta = index; }
 
     /** Outcome of a flush or DMA-coherence operation (Section 7). */
     struct RegionOpResult
@@ -385,7 +384,7 @@ class Llc : public LlcPort
     std::unique_ptr<DirtyStore> dirtyStorePtr;
     std::unique_ptr<WritebackPolicy> wbPolicy;
     std::unique_ptr<LookupPolicy> lookupPol;
-    std::vector<MetadataIndex *> metaIndexes;
+    MetadataIndex *meta = nullptr;
 
     /** An outstanding demand read: its block, owner and requesters. */
     struct Pending

@@ -1,15 +1,15 @@
 /**
  * @file
- * MetadataIndex: the seam through which per-block metadata subsystems
- * (heterogeneous ECC, the split coherence directory — Sections 3.3 and
- * 2.3 of the paper) attach to the LLC. The paper's generalization of
- * the DBI is that *any* block metadata can live in a separate,
- * differently-organized index; this interface is the code form of that
- * claim. Implementations observe the cache's block lifecycle (fills,
- * reads, dirty transitions, evictions) without perturbing its timing
- * or statistics — like the audit and telemetry observers, a run with a
- * MetadataIndex attached must produce exactly the stats of a run
- * without one. Results are reported out of band via reportMetrics().
+ * MetadataIndex: the seam through which a per-block metadata subsystem
+ * (heterogeneous ECC, Section 3.3 of the paper) attaches to the LLC.
+ * The paper's generalization of the DBI is that *any* block metadata
+ * can live in a separate, differently-organized index; this interface
+ * is the code form of that claim. Implementations observe the cache's
+ * block lifecycle (fills, reads, dirty transitions, evictions) without
+ * perturbing its timing or statistics — like the audit and telemetry
+ * observers, a run with a MetadataIndex attached must produce exactly
+ * the stats of a run without one. Results are reported out of band via
+ * reportMetrics().
  */
 
 #ifndef DBSIM_LLC_METADATA_INDEX_HH
@@ -28,7 +28,7 @@ class MetadataIndex
   public:
     virtual ~MetadataIndex() = default;
 
-    /** Short identifier, e.g. "ecc" or "dir" (used in metric keys). */
+    /** Short identifier, e.g. "ecc" (used in metric keys). */
     virtual const char *name() const = 0;
 
     /** A block became resident (miss fill or writeback-allocate). */

@@ -124,9 +124,6 @@ mechanismSpecString(const MechanismSpec &spec)
     if (spec.attachEcc) {
         out += "+ecc";
     }
-    if (spec.attachDirectory) {
-        out += "+dir";
-    }
     if (spec.baselineLru) {
         out += "+lru";
     }
@@ -157,14 +154,12 @@ mechanismHelp()
            "\n"
            "  composed specs: '+'-separated tokens\n"
            "    dirty store:  tag | wt | dbi   (default tag; awb/clb/"
-           "ecc/dir imply dbi, skip implies wt)\n"
+           "ecc imply dbi, skip implies wt)\n"
            "    writeback:    dawb | vwq | awb (default evict-order)\n"
            "    lookup:       skip | clb      (default always-lookup)\n"
-           "    metadata:     ecc | dir       (hetero-ECC / coherence "
-           "directory; need dbi)\n"
+           "    metadata:     ecc             (hetero-ECC; needs dbi)\n"
            "    replacement:  lru             (default TA-DIP/DRRIP)\n"
-           "  e.g. 'dbi+dawb', 'dawb+clb', 'vwq+clb', 'dbi+awb+ecc', "
-           "'dbi+dir'\n"
+           "  e.g. 'dbi+dawb', 'dawb+clb', 'vwq+clb', 'dbi+awb+ecc'\n"
            "  On sliced machines (--slices N) every LLC slice composes "
            "its own\n"
            "  slice-local policy tuple (DirtyStore x WritebackPolicy x "
@@ -244,11 +239,6 @@ parseComposedSpec(const std::string &name)
             if (!store_set) {
                 setStore(DirtyStoreKind::Dbi);
             }
-        } else if (tok == "dir") {
-            spec.attachDirectory = true;
-            if (!store_set) {
-                setStore(DirtyStoreKind::Dbi);
-            }
         } else if (tok == "lru") {
             spec.baselineLru = true;
         } else {
@@ -271,8 +261,8 @@ parseComposedSpec(const std::string &name)
     if (spec.writeback == WritebackKind::DbiAwb && !is_dbi) {
         badMechanism(name, "'awb' needs a DBI store in");
     }
-    if ((spec.attachEcc || spec.attachDirectory) && !is_dbi) {
-        badMechanism(name, "'ecc'/'dir' need a DBI store in");
+    if (spec.attachEcc && !is_dbi) {
+        badMechanism(name, "'ecc' needs a DBI store in");
     }
     if (is_wt && spec.writeback != WritebackKind::EvictOrder) {
         badMechanism(name,

@@ -4,11 +4,11 @@
  *
  * A mechanism is not a cache subtype but a tuple over the three policy
  * axes of llc/policies.hh — dirty store x writeback policy x lookup
- * policy — plus optional metadata attachments (hetero-ECC, coherence
- * directory) and the replacement-policy choice. Table 2's names are
- * presets over these tuples; mechanismByName() additionally parses
- * composed specs ("dbi+dawb", "dawb+clb", "dbi+awb+ecc", ...) so
- * experiments can explore the whole cross-product.
+ * policy — plus an optional metadata attachment (hetero-ECC) and the
+ * replacement-policy choice. Table 2's names are presets over these
+ * tuples; mechanismByName() additionally parses composed specs
+ * ("dbi+dawb", "dawb+clb", "dbi+awb+ecc", ...) so experiments can
+ * explore the whole cross-product.
  */
 
 #ifndef DBSIM_SIM_MECHANISM_HH
@@ -57,7 +57,7 @@ enum class LookupKind : std::uint8_t
 
 /**
  * A fully-specified mechanism: the policy tuple the LLC is composed
- * from, plus metadata attachments and the replacement-policy choice.
+ * from, plus the metadata attachment and the replacement-policy choice.
  * Implicitly constructible from a Table 2 Mechanism, so preset-based
  * code (`cfg.mech = Mechanism::Dawb`) keeps working unchanged.
  */
@@ -73,8 +73,8 @@ struct MechanismSpec
     /** Attach the heterogeneous-ECC tracker (needs a DBI store). */
     bool attachEcc = false;
 
-    /** Attach the split coherence directory (needs a DBI store). */
-    bool attachDirectory = false;
+    // Always false; read only by simbench (goes in its benchmark-scope step).
+    static constexpr bool attachDirectory = false;
 
     /** Display label: the Table 2 name, or the canonical spec string. */
     std::string label = "TA-DIP";
@@ -91,8 +91,7 @@ struct MechanismSpec
     {
         return a.store == b.store && a.writeback == b.writeback &&
                a.lookup == b.lookup && a.baselineLru == b.baselineLru &&
-               a.attachEcc == b.attachEcc &&
-               a.attachDirectory == b.attachDirectory;
+               a.attachEcc == b.attachEcc;
     }
     friend bool
     operator!=(const MechanismSpec &a, const MechanismSpec &b)
@@ -121,10 +120,10 @@ std::string mechanismSpecString(const MechanismSpec &spec);
  * composed spec of '+'-separated lowercase tokens:
  *
  *   dirty store   tag | wt | dbi     (default tag; inferred dbi for
- *                                     awb/clb/ecc/dir, wt for skip)
+ *                                     awb/clb/ecc, wt for skip)
  *   writeback     dawb | vwq | awb   (default evict-order)
  *   lookup        skip | clb         (default always-lookup)
- *   metadata      ecc | dir          (hetero-ECC / coherence directory)
+ *   metadata      ecc                (hetero-ECC)
  *   replacement   lru                (default TA-DIP or DRRIP)
  *
  * fatal() on unknown names/tokens or invalid combinations, listing the

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "coherence/directory_index.hh"
 #include "common/logging.hh"
 #include "ecc/ecc_index.hh"
 #include "model/storage_model.hh"
@@ -441,6 +440,7 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
     fatal_if(workload.size() != cfg.numCores,
              "workload has %zu entries for %u cores", workload.size(),
              cfg.numCores);
+    cfg.sampling.validate();
 
     const std::uint32_t P = topo.partitions;
     for (std::uint32_t p = 0; p < P; ++p) {
@@ -542,10 +542,10 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
                                  ShardContext(p, *queues[p], fab.get()),
                                  pred));
 
-        // Metadata subsystems the spec attaches (Sections 2.3 and 3.3):
-        // both hang off the slice's DBI organization. They are passive
-        // observers, so the simulation's timing and stats are identical
-        // with or without them.
+        // The metadata subsystem the spec attaches (Section 3.3) hangs
+        // off the slice's DBI organization. It is a passive observer, so
+        // the simulation's timing and stats are identical with or
+        // without it.
         if (cfg.mech.attachEcc) {
             const Dbi *d = slices[s]->dbiIndex();
             fatal_if(!d, "the hetero-ECC attachment requires a DBI store");
@@ -557,21 +557,8 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
             sp.dbiAssoc = dbi_cfg.assoc;
             metaIndexes.push_back(std::make_unique<HeteroEccIndex>(
                 d->trackableBlocks(), sp));
-            metaSlices.push_back(s);
+            slices[s]->attachMetadata(metaIndexes.back().get());
         }
-        if (cfg.mech.attachDirectory) {
-            fatal_if(!slices[s]->dbiIndex(),
-                     "the coherence-directory attachment requires a DBI "
-                     "store");
-            DbiConfig dir_cfg = dbi_cfg;
-            dir_cfg.seed = cfg.seed + 2017 + 104729ull * s;
-            metaIndexes.push_back(std::make_unique<SplitDirectoryIndex>(
-                dir_cfg, slices[s]->tags().numBlocks()));
-            metaSlices.push_back(s);
-        }
-    }
-    for (std::size_t i = 0; i < metaIndexes.size(); ++i) {
-        slices[metaSlices[i]]->attachMetadata(metaIndexes[i].get());
     }
 
     if (cfg.auditEvery > 0) {
@@ -977,14 +964,13 @@ System::assembleResult()
         res.hostProfile = profiler->metrics();
     }
 
-    for (std::size_t i = 0; i < metaIndexes.size(); ++i) {
+    for (std::size_t s = 0; s < metaIndexes.size(); ++s) {
         if (topo.slices == 1) {
-            metaIndexes[i]->reportMetrics(res.metadata);
+            metaIndexes[s]->reportMetrics(res.metadata);
         } else {
             std::map<std::string, double> m;
-            metaIndexes[i]->reportMetrics(m);
-            std::string prefix =
-                "s" + std::to_string(metaSlices[i]) + ".";
+            metaIndexes[s]->reportMetrics(m);
+            std::string prefix = "s" + std::to_string(s) + ".";
             for (const auto &[key, value] : m) {
                 res.metadata[prefix + key] = value;
             }

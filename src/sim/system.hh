@@ -215,11 +215,11 @@ struct SimResult
     std::map<std::string, double> telemetry;
 
     /**
-     * Metrics reported by attached metadata subsystems ("ecc.*" /
-     * "dir.*" — hetero-ECC protection outcomes and storage/energy
-     * accounting, coherence-directory activity) when the mechanism spec
-     * attaches them; empty otherwise. Sliced machines attach one index
-     * set per slice and prefix each slice's entries "s<k>.".
+     * Metrics reported by the attached metadata subsystem ("ecc.*" —
+     * hetero-ECC protection outcomes and storage/energy accounting)
+     * when the mechanism spec attaches it; empty otherwise. Sliced
+     * machines attach one tracker per slice and prefix each slice's
+     * entries "s<k>.".
      */
     std::map<std::string, double> metadata;
 
@@ -283,13 +283,6 @@ class System
 
     /** Slice 0's DBI, if the mechanism has one (nullptr otherwise). */
     Dbi *dbi();
-
-    /** Attached metadata subsystems, all slices in slice order. */
-    const std::vector<std::unique_ptr<MetadataIndex>> &
-    metadata() const
-    {
-        return metaIndexes;
-    }
 
     /** The DRAM controller — channel 0 on multi-channel machines. */
     DramController &dram() { return *chans[0]; }
@@ -394,8 +387,7 @@ class System
     std::vector<std::unique_ptr<Llc>> slices;
     std::vector<std::unique_ptr<audit::DCacheAuditor>> dcacheAuditors;
     std::vector<std::unique_ptr<ShardLlcPort>> corePorts;     ///< per shard
-    std::vector<std::unique_ptr<MetadataIndex>> metaIndexes;
-    std::vector<std::uint32_t> metaSlices;  ///< owning slice per index
+    std::vector<std::unique_ptr<MetadataIndex>> metaIndexes;  ///< per slice
     std::vector<std::unique_ptr<audit::InvariantAuditor>> auditors;
     std::vector<std::unique_ptr<dbsim::telemetry::SimTelemetry>> telems;
     std::unique_ptr<ShardFlowTracer> flowTracer;      ///< sharded traces

@@ -6,19 +6,22 @@
 
 namespace dbsim {
 
-SampledTrace::SampledTrace(std::unique_ptr<TraceSource> inner_,
-                           const SamplingConfig &cfg_, WarmFn warm_)
-    : src(std::move(inner_)), cfg(cfg_), warm(std::move(warm_))
+void
+SamplingConfig::validate() const
 {
-    fatal_if(cfg.periodOps > 0 &&
-                 (cfg.sampleOps == 0 || cfg.sampleOps > cfg.periodOps),
+    fatal_if(periodOps > 0 && (sampleOps == 0 || sampleOps > periodOps),
              "sampling: need 0 < sample-ops (%llu) <= period (%llu)",
-             static_cast<unsigned long long>(cfg.sampleOps),
-             static_cast<unsigned long long>(cfg.periodOps));
-    fatal_if(cfg.periodOps == 0 && cfg.sampleOps > 0,
+             static_cast<unsigned long long>(sampleOps),
+             static_cast<unsigned long long>(periodOps));
+    fatal_if(periodOps == 0 && sampleOps > 0,
              "sampling: sample-ops without a period has no effect; "
              "set --period too");
 }
+
+SampledTrace::SampledTrace(std::unique_ptr<TraceSource> inner_,
+                           const SamplingConfig &cfg_, WarmFn warm_)
+    : src(std::move(inner_)), cfg(cfg_), warm(std::move(warm_))
+{}
 
 void
 SampledTrace::warmSpan(std::uint64_t n)

@@ -36,6 +36,14 @@ struct SamplingConfig
     std::uint64_t periodOps = 0;
 
     bool enabled() const { return ffOps > 0 || periodOps > 0; }
+
+    /**
+     * fatal() unless the knobs describe a run: with a period,
+     * 0 < sampleOps <= periodOps; without one, no sampleOps. System
+     * checks every config, sampled or not, so a window size that would
+     * do nothing never passes silently.
+     */
+    void validate() const;
 };
 
 class SampledTrace : public TraceSource

@@ -175,7 +175,7 @@ TEST(PropertyDCache, BothDirtyLevelsStayQuietUnderOneStream)
     }
 }
 
-TEST(PropertyDCache, AuditedShardedSystemsStayQuietAndThreadInvariant)
+TEST(PropertyDCache, AuditedShardedSystemsStayQuietAndRepeatDeterministic)
 {
     // Whole-machine closure: 4 cores / 4 slices / 4 channels with the
     // dcache tier enabled, auditors on at both levels, run twice.

@@ -115,7 +115,7 @@ const std::vector<std::string> kMechanisms = {
     "dawb+clb",
 };
 
-TEST(PropertyShards, AuditedShardedRunsStayQuietAndThreadInvariant)
+TEST(PropertyShards, AuditedShardedRunsStayQuietAndRepeatDeterministic)
 {
     const test::TempPath dir;
     std::filesystem::create_directories(dir.str());

@@ -154,6 +154,29 @@ TEST(ExperimentRunner, CustomPointTagsSurviveIntoRecords)
     EXPECT_EQ(records[0].tags.at("axis"), "value");
 }
 
+TEST(ExperimentRunner, PoolStartsAtMostOneWorkerPerPoint)
+{
+    // jobs only bounds the pool: 3 jobs over 2 points start 2 threads,
+    // and a lone point runs serially on the caller's thread.
+    SweepSpec spec;
+    for (int i = 0; i < 2; ++i) {
+        spec.addCustom({}, [i](const SystemConfig &, PointRecord &rec) {
+            rec.metrics["i"] = static_cast<double>(i);
+        });
+    }
+    RunOptions opts;
+    opts.jobs = 3;
+    opts.progress = false;
+    ExperimentRunner runner(opts);
+    EXPECT_EQ(runner.run(spec).size(), 2u);
+    EXPECT_EQ(runner.lastRun().workers, 2u);
+
+    SweepSpec one;
+    one.addCustom({}, [](const SystemConfig &, PointRecord &) {});
+    EXPECT_EQ(runner.run(one).size(), 1u);
+    EXPECT_EQ(runner.lastRun().workers, 0u);
+}
+
 TEST(ExperimentRunner, CustomPointsSeeConfigOverridesAndRunnerOptions)
 {
     // An ablation_flush-style point: the closure builds its own System

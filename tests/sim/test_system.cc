@@ -236,13 +236,12 @@ TEST(Mechanisms, ComposedSpecGrammarAndInference)
     EXPECT_EQ(s.writeback, WritebackKind::DawbSweep);
     EXPECT_EQ(s.lookup, LookupKind::Always);
 
-    // awb/clb/ecc/dir imply a DBI store; skip implies write-through.
+    // awb/clb/ecc imply a DBI store; skip implies write-through.
     EXPECT_EQ(mechanismByName("awb").store, DirtyStoreKind::Dbi);
     EXPECT_EQ(mechanismByName("clb").store, DirtyStoreKind::Dbi);
     EXPECT_EQ(mechanismByName("skip").store,
               DirtyStoreKind::WriteThrough);
     EXPECT_TRUE(mechanismByName("dbi+ecc").attachEcc);
-    EXPECT_TRUE(mechanismByName("dbi+dir").attachDirectory);
 
     // A composed spec equal to a preset tuple compares equal to it.
     EXPECT_EQ(mechanismByName("dbi+awb+clb"),
@@ -267,7 +266,7 @@ TEST(Mechanisms, SpecStringsRoundTrip)
               "DBI+AWB");
     // Composed tuples print canonically and parse back to themselves.
     for (const char *spec :
-         {"dbi+dawb", "dawb+clb", "vwq+clb", "dbi+awb+ecc", "dbi+dir"}) {
+         {"dbi+dawb", "dawb+clb", "vwq+clb", "dbi+awb+ecc"}) {
         MechanismSpec s = mechanismByName(spec);
         EXPECT_EQ(mechanismByName(mechanismSpecString(s)), s) << spec;
     }
@@ -282,6 +281,8 @@ TEST(MechanismsDeathTest, BadNamesTeachTheGrammar)
     EXPECT_DEATH(mechanismByName("dbi+skip"), "composed specs");
     EXPECT_DEATH(mechanismByName("tag+awb"), "composed specs");
     EXPECT_DEATH(mechanismByName("dbi+tag"), "conflicting dirty-store");
+    EXPECT_DEATH(mechanismByName("dbi+dir"),
+                 "unknown mechanism 'dbi\\+dir'");
 }
 
 TEST(SystemIntegration, EccAccountingReportedFromRealRun)
@@ -303,23 +304,10 @@ TEST(SystemIntegration, EccAccountingReportedFromRealRun)
               r.metadata.at("ecc.energy.dbiMetaReadPj"));
 }
 
-TEST(SystemIntegration, DirectoryDrivenOnMulticorePath)
-{
-    // The split coherence directory observes the shared-LLC block
-    // lifecycle on a real multi-core run.
-    SystemConfig cfg = quickConfig(Mechanism::Dbi, 2);
-    cfg.mech = mechanismByName("dbi+dir");
-    SimResult r = runWorkload(cfg, {"mcf", "lbm"});
-
-    EXPECT_GT(r.metadata.at("dir.fetches"), 0.0);
-    EXPECT_GT(r.metadata.at("dir.writes"), 0.0);
-    EXPECT_GT(r.metadata.at("dir.dbiLookups"), 0.0);
-}
-
 TEST(SystemIntegration, MetadataAttachmentDoesNotPerturbTiming)
 {
-    // Like the auditor and telemetry, metadata indices are passive:
-    // a run with ECC + directory attached must produce exactly the
+    // Like the auditor and telemetry, the metadata index is passive:
+    // a run with the ECC tracker attached must produce exactly the
     // timing and stats of the bare mechanism.
     SystemConfig cfg = quickConfig(Mechanism::Dbi);
     SimResult bare = runWorkload(cfg, {"lbm"});
