@@ -164,7 +164,12 @@ format(const std::vector<exp::PointRecord> &records,
 
     bool any_meta = false;
     for (const auto &[name, value] : rec.metrics) {
-        if (name.rfind("ecc.", 0) != 0) {
+        // Unsliced machines report "ecc.*", sliced ones "s<k>.ecc.*".
+        const std::size_t dot = name.find('.');
+        const bool ecc = name.rfind("ecc.", 0) == 0 ||
+                         (name[0] == 's' && dot != std::string::npos &&
+                          name.compare(dot + 1, 4, "ecc.") == 0);
+        if (!ecc) {
             continue;
         }
         if (!any_meta) {

@@ -72,7 +72,8 @@ struct PerfPoint
  * configuration (DBI + AWB + CLB, two cores — the ISSUE's 1.5x target
  * workload), a composed '+'-spec on the write-heaviest profile
  * (DBI insert/evict and write-drain paths dominate), and the 64-core /
- * 4-slice / 4-channel machine on the epoch engine.
+ * 4-slice / 4-channel machine, whose shards share one queue and cross
+ * the fabric.
  */
 std::vector<PerfPoint>
 makePoints()

@@ -1,32 +1,22 @@
 /**
  * @file
- * Sharded execution layer: the ShardContext handle components schedule
- * through and the time-stamped inter-shard mailbox (ShardFabric).
+ * The inter-shard fabric (ShardFabric) of a sharded machine.
  *
- * A shard is one execution partition of the simulated machine: it owns
- * an EventQueue, an LLC slice, and (when the machine has that many) a
- * DRAM channel. Within a shard every interaction is a direct call, as
- * before. Across shards, all traffic goes through the ShardFabric: a
- * message sent at cycle t is delivered at t + hopLatency into the
- * destination shard's queue, and hopLatency doubles as the conservative
- * lookahead of the epoch loop (System::runSharded):
- *
- *   - Shards execute epoch k = cycles [k*W, (k+1)*W) one after another,
- *     each on its own EventQueue, where W == hopLatency.
- *   - A message sent during epoch k has deliverAt >= (k+1)*W, i.e. it
- *     can only matter in a *later* epoch, so the order in which the
- *     shards of one epoch run cannot miss or reorder any interaction.
- *   - At the barrier between epochs deliverAll drains every lane in a
- *     fixed total order — (deliverAt, per-lane sequence number, source
- *     shard) — so delivery order is a pure function of the simulation.
+ * A shard is one partition of the simulated machine: an LLC slice and
+ * (when the machine has that many) a DRAM channel, plus the cores
+ * placed on it. Every shard schedules into the same EventQueue. Within
+ * a shard every interaction is a direct call. Across shards, traffic
+ * goes through the ShardFabric, which models the NUCA hop: a message
+ * sent at cycle t is an ordinary event at t + hopLatency on that one
+ * queue. Delivery order is therefore the queue's own order (cycle,
+ * then schedule order), a pure function of the simulation.
  */
 
 #ifndef DBSIM_COMMON_SHARD_HH
 #define DBSIM_COMMON_SHARD_HH
 
 #include <cstdint>
-#include <functional>
-#include <vector>
+#include <utility>
 
 #include "event_queue.hh"
 #include "logging.hh"
@@ -35,16 +25,14 @@
 
 namespace dbsim {
 
-class ShardFabric;
-
 /**
  * Observer of cross-shard message lifecycle, for flight-recorder style
  * tracing. Purely passive: it sees (but cannot alter) every fabric
  * message, identified by a deterministic flow id that is unique over a
- * run and encodes (lane sequence, src, dst).
+ * run and encodes (send sequence, src, dst).
  *
- * onSend runs mid-epoch, while shard `src` executes. onDeliver runs at
- * the epoch barrier (inside deliverAll), when no shard is executing.
+ * onSend runs inside send(), at the sender's cycle. onDeliver runs in
+ * the delivery event, just before the message's handler.
  */
 class FlowObserver
 {
@@ -60,92 +48,55 @@ class FlowObserver
 };
 
 /**
- * The handle through which a component reaches its simulation kernel:
- * which shard it lives on, that shard's EventQueue, and the fabric for
- * cross-shard traffic (nullptr on single-shard machines).
- *
- * Implicitly constructible from a bare EventQueue& so pre-shard code
- * (`Llc llc(cfg, dram, eq)`) keeps compiling: such components live on
- * shard 0 of an unsharded world.
- */
-class ShardContext
-{
-  public:
-    ShardContext(EventQueue &event_queue)  // NOLINT: implicit by design
-        : q(&event_queue)
-    {
-    }
-
-    ShardContext(std::uint32_t shard_id, EventQueue &event_queue,
-                 ShardFabric *shard_fabric)
-        : q(&event_queue), fab(shard_fabric), id(shard_id)
-    {
-    }
-
-    EventQueue &queue() const { return *q; }
-    std::uint32_t shard() const { return id; }
-
-    /** The cross-shard mailbox; nullptr when the world has one shard. */
-    ShardFabric *fabric() const { return fab; }
-    bool sharded() const { return fab != nullptr; }
-
-  private:
-    EventQueue *q;
-    ShardFabric *fab = nullptr;
-    std::uint32_t id = 0;
-};
-
-/**
- * Time-stamped inter-shard mailbox.
- *
- * During an epoch each shard appends messages to its outgoing lanes.
- * At the epoch barrier deliverAll() merges every destination's
- * incoming lanes in (deliverAt, seq, src) order and schedules the
- * callbacks into the destination queues. Messages sent at cycle t
- * deliver at t + hopLatency.
+ * The inter-shard hop: a message sent at cycle t runs its handler at
+ * t + hopLatency, as an event on the machine's one queue.
  */
 class ShardFabric
 {
   public:
-    using Handler = std::function<void(Cycle)>;
-
-    ShardFabric(std::uint32_t num_shards, Cycle hop_latency)
-        : numShards_(num_shards), hop(hop_latency),
-          lanes(std::size_t(num_shards) * num_shards)
+    ShardFabric(std::uint32_t num_shards, Cycle hop_latency,
+                EventQueue &event_queue)
+        : numShards_(num_shards), hop(hop_latency), q(event_queue)
     {
         fatal_if(num_shards < 1, "fabric needs at least one shard");
         fatal_if(hop_latency < 1,
-                 "cross-shard hop latency must be >= 1 cycle (it is the "
-                 "epoch lookahead)");
+                 "cross-shard hop latency must be >= 1 cycle");
     }
-
-    std::uint32_t numShards() const { return numShards_; }
-
-    /** The cross-shard latency; also the epoch window W. */
-    Cycle hopLatency() const { return hop; }
 
     /**
      * Send a message from shard `src` to shard `dst` at cycle
-     * `send_time`; `fn` runs on shard dst at send_time + hopLatency().
+     * `send_time`: `fn(Cycle at)` runs at at == send_time + the hop
+     * latency.
      * `kind` labels the message for tracing (static string; never
-     * affects delivery). Called only while shard src executes.
+     * affects delivery). The delivery event must fit the queue's inline
+     * storage, so `fn` may capture at most 24 bytes.
      */
+    template <typename F>
     void
-    send(std::uint32_t src, std::uint32_t dst, Cycle send_time, Handler fn,
+    send(std::uint32_t src, std::uint32_t dst, Cycle send_time, F &&fn,
          const char *kind = "msg")
     {
-        Lane &lane = lanes[std::size_t(src) * numShards_ + dst];
-        // Flow id: unique per run and recoverable to (src, dst), and
-        // deterministic through the per-lane sequence.
-        const std::uint64_t id =
-            (lane.nextSeq * numShards_ + src) * numShards_ + dst;
-        lane.box.push_back(
-            Message{send_time + hop, lane.nextSeq++, std::move(fn), id,
-                    kind});
-        if (observer) {
-            observer->onSend(src, dst, send_time, send_time + hop, id,
-                             kind);
+        const Cycle at = send_time + hop;
+        if (!observer) {
+            q.schedule(at, [this, fn = std::forward<F>(fn)]() mutable {
+                statMessages += 1;
+                fn(q.now());
+            }, prof::Fabric);
+            return;
         }
+        // Flow id: unique per run, recoverable to (src, dst), and
+        // deterministic through the send sequence.
+        const std::uint64_t id =
+            (nextFlow++ * numShards_ + src) * numShards_ + dst;
+        observer->onSend(src, dst, send_time, at, id, kind);
+        q.schedule(at, [this, fn = std::forward<F>(fn), id, kind]() mutable {
+            statMessages += 1;
+            observer->onDeliver(
+                static_cast<std::uint32_t>((id / numShards_) % numShards_),
+                static_cast<std::uint32_t>(id % numShards_), q.now(), id,
+                kind);
+            fn(q.now());
+        }, prof::Fabric);
     }
 
     /**
@@ -153,16 +104,6 @@ class ShardFabric
      * the run starts.
      */
     void attachFlowObserver(FlowObserver *obs) { observer = obs; }
-
-    /**
-     * Barrier-time delivery: schedule every in-flight message into its
-     * destination queue, in (deliverAt, seq, src) order per destination.
-     * No shard may be executing. `queues[s]` is shard s's EventQueue.
-     */
-    void deliverAll(const std::vector<EventQueue *> &queues);
-
-    /** Messages currently buffered in lanes (barrier-time only). */
-    std::uint64_t inFlight() const;
 
     /** Messages delivered over the fabric's lifetime. */
     Counter statMessages;
@@ -175,27 +116,11 @@ class ShardFabric
     }
 
   private:
-    struct Message
-    {
-        Cycle deliverAt;
-        std::uint64_t seq;
-        Handler fn;
-        std::uint64_t flowId;
-        const char *kind;
-    };
-
-    /** One (src, dst) lane, written by shard src mid-epoch. */
-    struct Lane
-    {
-        std::vector<Message> box;
-        std::uint64_t nextSeq = 0;
-    };
-
     std::uint32_t numShards_;
     Cycle hop;
+    EventQueue &q;
     FlowObserver *observer = nullptr;
-    std::vector<Lane> lanes;  ///< lane (src, dst) at src*numShards+dst
-    std::vector<Message> merged;  ///< deliverAll scratch (reused)
+    std::uint64_t nextFlow = 0;  ///< observed sends so far
 };
 
 } // namespace dbsim

@@ -8,9 +8,9 @@ namespace dbsim {
 
 Core::Core(std::uint32_t core_id, const CoreConfig &config,
            TraceSource &trace_source, CoreMemory &memory,
-           ShardContext context)
+           EventQueue &event_queue)
     : coreId(core_id), cfg(config), trace(trace_source), mem(memory),
-      eq(context.queue())
+      eq(event_queue)
 {
     fatal_if(cfg.robSize == 0 || cfg.mshrs == 0, "bad core configuration");
     fatal_if(cfg.warmupInstrs == 0, "need at least one warmup instruction");

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/event_queue.hh"
-#include "common/shard.hh"
+#include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "cpu/core_memory.hh"
@@ -59,13 +59,12 @@ class Core
     using MilestoneFn = std::function<void(std::uint32_t)>;
 
     /**
-     * @param context the shard the core executes on (implicitly a bare
-     *        EventQueue& for unsharded use); its private hierarchy's
-     *        LlcPort decides where accesses actually go.
+     * @param memory the core's private hierarchy; its LlcPort decides
+     *        where accesses below L2 actually go.
      */
     Core(std::uint32_t core_id, const CoreConfig &config,
          TraceSource &trace_source, CoreMemory &memory,
-         ShardContext context);
+         EventQueue &event_queue);
 
     /** Schedule the core's first work at cycle 0. */
     void start();

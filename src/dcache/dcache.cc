@@ -5,8 +5,8 @@
 namespace dbsim {
 
 DramCache::DramCache(const DCacheConfig &config, BackingPort &below,
-                     ShardContext context)
-    : cfg(config), down(below), ctx(context), eq(context.queue())
+                     EventQueue &event_queue)
+    : cfg(config), down(below), eq(event_queue)
 {
     fatal_if(!isPowerOf2(cfg.pageBytes) || cfg.pageBytes < kBlockBytes,
              "dcache.pageBytes (%u) must be a power of two >= one block",

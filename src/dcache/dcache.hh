@@ -36,7 +36,7 @@
 
 #include "common/bitvec.hh"
 #include "common/event_queue.hh"
-#include "common/shard.hh"
+#include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dbi/dbi.hh"
@@ -89,7 +89,7 @@ class DramCache : public BackingPort
      *        The caller keeps ownership; it must outlive the cache.
      */
     DramCache(const DCacheConfig &config, BackingPort &below,
-              ShardContext context);
+              EventQueue &event_queue);
     ~DramCache() override = default;
 
     // -- BackingPort (the LLC-facing side) ----------------------------
@@ -234,7 +234,6 @@ class DramCache : public BackingPort
 
     DCacheConfig cfg;
     BackingPort &down;
-    ShardContext ctx;
     EventQueue &eq;
 
     std::uint32_t blocksPer;

@@ -7,8 +7,8 @@
 namespace dbsim {
 
 DramController::DramController(const DramConfig &config,
-                               ShardContext context)
-    : cfg(config), eq(context.queue()),
+                               EventQueue &event_queue)
+    : cfg(config), eq(event_queue),
       map(config.rowBytes, config.numBanks,
           config.channels ? config.channels : 1),
       banks(config.numBanks), readQ(config.numBanks),

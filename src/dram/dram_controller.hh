@@ -20,7 +20,7 @@
 #include "common/addr_index.hh"
 #include "common/addr_map.hh"
 #include "common/event_queue.hh"
-#include "common/shard.hh"
+#include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/dram_config.hh"
@@ -250,11 +250,7 @@ class DramController : public BackingPort
   public:
     using ReadCallback = BackingPort::ReadCallback;
 
-    /**
-     * @param context the shard this channel lives on. Implicitly
-     *        constructible from a bare EventQueue& for unsharded use.
-     */
-    DramController(const DramConfig &config, ShardContext context);
+    DramController(const DramConfig &config, EventQueue &event_queue);
     ~DramController() override = default;
 
     /** Enqueue a block read arriving at cycle `when`. */

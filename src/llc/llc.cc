@@ -7,10 +7,10 @@
 namespace dbsim {
 
 Llc::Llc(const LlcConfig &config, BackingPort &backing_port,
-         ShardContext context, std::unique_ptr<DirtyStore> dirty_store,
+         EventQueue &event_queue, std::unique_ptr<DirtyStore> dirty_store,
          std::unique_ptr<WritebackPolicy> writeback_policy,
          std::unique_ptr<LookupPolicy> lookup_policy)
-    : cfg(config), backing(backing_port), ctx(context), eq(context.queue()),
+    : cfg(config), backing(backing_port), eq(event_queue),
       store(CacheGeometry{config.sizeBytes, config.assoc, config.repl,
                           config.numCores, config.seed}),
       dirtyStorePtr(dirty_store ? std::move(dirty_store)

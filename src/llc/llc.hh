@@ -27,7 +27,7 @@
 #include "cache/tag_store.hh"
 #include "common/addr_index.hh"
 #include "common/event_queue.hh"
-#include "common/shard.hh"
+#include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/backing_port.hh"
@@ -140,7 +140,7 @@ class Llc : public LlcPort
      * keeps ownership and the port must outlive the cache.
      */
     Llc(const LlcConfig &config, BackingPort &backing_port,
-        ShardContext context,
+        EventQueue &event_queue,
         std::unique_ptr<DirtyStore> dirty_store = nullptr,
         std::unique_ptr<WritebackPolicy> writeback_policy = nullptr,
         std::unique_ptr<LookupPolicy> lookup_policy = nullptr);
@@ -223,9 +223,6 @@ class Llc : public LlcPort
     const LlcConfig &config() const { return cfg; }
     TagStore &tags() { return store; }
     const TagStore &tags() const { return store; }
-
-    /** The shard this slice lives on. */
-    const ShardContext &context() const { return ctx; }
 
     /** The level below this slice. */
     BackingPort &backingPort() { return backing; }
@@ -374,7 +371,6 @@ class Llc : public LlcPort
 
     LlcConfig cfg;
     BackingPort &backing;
-    ShardContext ctx;
     EventQueue &eq;
     TagStore store;
     Cycle portFreeAt = 0;

@@ -310,7 +310,7 @@ allMechanisms()
 
 std::unique_ptr<Llc>
 makeLlc(const MechanismSpec &spec, const LlcConfig &llc_cfg,
-        const DbiConfig &dbi_cfg, BackingPort &backing, ShardContext ctx,
+        const DbiConfig &dbi_cfg, BackingPort &backing, EventQueue &eq,
         std::shared_ptr<MissPredictor> predictor)
 {
     std::unique_ptr<DirtyStore> store;
@@ -355,7 +355,7 @@ makeLlc(const MechanismSpec &spec, const LlcConfig &llc_cfg,
         break;
     }
 
-    return std::make_unique<Llc>(llc_cfg, backing, ctx, std::move(store),
+    return std::make_unique<Llc>(llc_cfg, backing, eq, std::move(store),
                                  std::move(wb), std::move(lookup));
 }
 

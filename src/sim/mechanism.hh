@@ -151,7 +151,7 @@ const std::vector<Mechanism> &allMechanisms();
 std::unique_ptr<Llc> makeLlc(const MechanismSpec &spec,
                              const LlcConfig &llc_cfg,
                              const DbiConfig &dbi_cfg,
-                             BackingPort &backing, ShardContext ctx,
+                             BackingPort &backing, EventQueue &eq,
                              std::shared_ptr<MissPredictor> predictor);
 
 } // namespace dbsim

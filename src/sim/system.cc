@@ -1,8 +1,5 @@
 #include "system.hh"
 
-#include <algorithm>
-#include <array>
-#include <bit>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -140,9 +137,9 @@ openTraceFile(const std::string &path)
 
 /**
  * A read a router has in flight across the fabric. The hop closures
- * carry only (router, slot id), which fits std::function's inline
- * buffer, so a round trip neither allocates nor copies the requester's
- * callback at each hop.
+ * carry only (router, slot id), which fits the fabric's capture budget,
+ * so a round trip neither allocates nor copies the requester's callback
+ * at each hop.
  */
 struct HopRead
 {
@@ -152,14 +149,7 @@ struct HopRead
     std::function<void(Cycle)> cb;
 };
 
-/**
- * Slot table of HopReads whose entries never move: slot ids index
- * chunks of doubling size. The serving shard reads a request's fields
- * while its source shard may be allocating further slots; that is
- * race-free because a slot is written before the send that publishes
- * it, read only after the epoch barrier that delivers it, and growth
- * only ever adds a chunk.
- */
+/** Slot table of HopReads, recycled through a free list. */
 class HopSlots
 {
   public:
@@ -167,7 +157,8 @@ class HopSlots
     acquire()
     {
         if (freeIds.empty()) {
-            grow();
+            slots.emplace_back();
+            return static_cast<std::uint32_t>(slots.size() - 1);
         }
         std::uint32_t id = freeIds.back();
         freeIds.pop_back();
@@ -176,32 +167,10 @@ class HopSlots
 
     void release(std::uint32_t id) { freeIds.push_back(id); }
 
-    HopRead &
-    operator[](std::uint32_t id)
-    {
-        // Chunk k holds ids [kBase * (2^k - 1), kBase * (2^(k+1) - 1)).
-        int k = std::bit_width(id / kBase + 1) - 1;
-        return chunks[k][id - kBase * ((1u << k) - 1)];
-    }
+    HopRead &operator[](std::uint32_t id) { return slots[id]; }
 
   private:
-    static constexpr std::uint32_t kBase = 64;
-
-    void
-    grow()
-    {
-        std::uint32_t k = numChunks++;
-        fatal_if(k == chunks.size(), "too many cross-shard reads in flight");
-        std::uint32_t size = kBase << k;
-        chunks[k] = std::make_unique<HopRead[]>(size);
-        std::uint32_t first = kBase * ((1u << k) - 1);
-        for (std::uint32_t i = size; i-- > 0;) {
-            freeIds.push_back(first + i);
-        }
-    }
-
-    std::array<std::unique_ptr<HopRead[]>, 24> chunks;
-    std::uint32_t numChunks = 0;
+    std::vector<HopRead> slots;
     std::vector<std::uint32_t> freeIds;
 };
 
@@ -395,9 +364,8 @@ class ShardMemRouter : public BackingPort
 /**
  * Routes fabric message lifecycle into the per-shard telemetry sinks,
  * turning every cross-shard message into a flow arrow in the merged
- * trace. A send is recorded by the sending shard's sink while that
- * shard runs its epoch, a delivery by the destination's sink at the
- * barrier.
+ * trace. A send is recorded by the sending shard's sink, a delivery by
+ * the destination's sink in the delivery event.
  */
 class ShardFlowTracer : public FlowObserver
 {
@@ -443,12 +411,8 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
     cfg.sampling.validate();
 
     const std::uint32_t P = topo.partitions;
-    for (std::uint32_t p = 0; p < P; ++p) {
-        queues.push_back(std::make_unique<EventQueue>());
-        queuePtrs.push_back(queues.back().get());
-    }
     if (topo.sharded()) {
-        fab = std::make_unique<ShardFabric>(P, topo.hopLatency);
+        fab = std::make_unique<ShardFabric>(P, topo.hopLatency, eq);
     }
 
     // The profiler attaches before any component exists: schedule()
@@ -460,18 +424,14 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
                  "DBSIM_TELEMETRY off; ignoring");
         }
     } else if (cfg.profile) {
-        profiler = std::make_unique<telemetry::HostProfiler>(P);
-        for (std::uint32_t p = 0; p < P; ++p) {
-            queues[p]->attachProfile(profiler->queueProfile(p));
-        }
+        profiler = std::make_unique<telemetry::HostProfiler>();
+        eq.attachProfile(profiler->queueProfile());
     }
 
     DramConfig dram_cfg = cfg.dram;
     dram_cfg.channels = topo.channels;
     for (std::uint32_t c = 0; c < topo.channels; ++c) {
-        std::uint32_t p = topo.partitionOfChannel(c);
-        chans.push_back(std::make_unique<DramController>(
-            dram_cfg, ShardContext(p, *queues[p], fab.get())));
+        chans.push_back(std::make_unique<DramController>(dram_cfg, eq));
     }
 
     // Machine-wide capacity, divided evenly across slices (validated by
@@ -503,15 +463,13 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
         for (std::uint32_t s = 0; s < topo.slices; ++s) {
             DCacheConfig slice_dc = dc_cfg;
             slice_dc.seed = cfg.seed + 3023 + 104729ull * s;
-            std::uint32_t p = topo.partitionOfSlice(s);
             BackingPort &below =
                 topo.sharded()
                     ? static_cast<BackingPort &>(*memRouters[s])
                     : static_cast<BackingPort &>(
                           *chans[s % topo.channels]);
-            dcaches.push_back(std::make_unique<DramCache>(
-                slice_dc, below,
-                ShardContext(p, *queues[p], fab.get())));
+            dcaches.push_back(
+                std::make_unique<DramCache>(slice_dc, below, eq));
         }
     }
 
@@ -522,15 +480,13 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
         dbi_cfg.seed = cfg.seed + 1009 + 104729ull * s;
 
         // Slice-local policy tuple: each slice composes its own
-        // DirtyStore/WritebackPolicy/LookupPolicy (and predictor —
-        // shared predictor state across shards would race).
+        // DirtyStore/WritebackPolicy/LookupPolicy and predictor.
         std::shared_ptr<MissPredictor> pred;
         if (cfg.mech.needsPredictor()) {
             pred = std::make_shared<SkipPredictor>(pc);
         }
         predictors.push_back(pred);
 
-        std::uint32_t p = topo.partitionOfSlice(s);
         BackingPort &backing =
             cfg.dcache.enable
                 ? static_cast<BackingPort &>(*dcaches[s])
@@ -538,9 +494,8 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
                        ? static_cast<BackingPort &>(*memRouters[s])
                        : static_cast<BackingPort &>(
                              *chans[s % topo.channels]));
-        slices.push_back(makeLlc(cfg.mech, slice_cfg, dbi_cfg, backing,
-                                 ShardContext(p, *queues[p], fab.get()),
-                                 pred));
+        slices.push_back(
+            makeLlc(cfg.mech, slice_cfg, dbi_cfg, backing, eq, pred));
 
         // The metadata subsystem the spec attaches (Section 3.3) hangs
         // off the slice's DBI organization. It is a passive observer, so
@@ -639,20 +594,10 @@ System::System(const SystemConfig &config, const WorkloadMix &mix)
                                                     cfg.seed + 31 * c));
         mems.back()->registerStats(statSet);
         cores.push_back(
-            std::make_unique<Core>(c, cfg.core, *traces[c], *mems[c],
-                                   ShardContext(p, *queues[p], fab.get())));
-        if (!topo.sharded()) {
-            cores.back()->onWarmed(
-                [this](std::uint32_t id) { onCoreWarmed(id); });
-            cores.back()->onDone(
-                [this](std::uint32_t id) { onCoreDone(id); });
-        } else {
-            // Milestones are only counted here. The epoch loop acts on
-            // them at the next barrier, which keeps warmup snapshots and
-            // the halt at a deterministic epoch index.
-            cores.back()->onWarmed([this](std::uint32_t) { ++warmedCount; });
-            cores.back()->onDone([this](std::uint32_t) { ++doneCount; });
-        }
+            std::make_unique<Core>(c, cfg.core, *traces[c], *mems[c], eq));
+        cores.back()->onWarmed(
+            [this](std::uint32_t id) { onCoreWarmed(id); });
+        cores.back()->onDone([this](std::uint32_t id) { onCoreDone(id); });
     }
 }
 
@@ -726,11 +671,7 @@ System::dbi()
 std::uint64_t
 System::eventsDispatched() const
 {
-    std::uint64_t n = 0;
-    for (const EventQueue *q : queuePtrs) {
-        n += q->dispatched();
-    }
-    return n;
+    return eq.dispatched();
 }
 
 void
@@ -741,7 +682,7 @@ System::onCoreWarmed(std::uint32_t)
         // All cores crossed their warmup boundary: the measurement
         // window for system-wide stats starts here.
         statSet.snapshotAll();
-        warmTime = queues[0]->now();
+        warmTime = eq.now();
     }
 }
 
@@ -750,7 +691,7 @@ System::onCoreDone(std::uint32_t)
 {
     ++doneCount;
     if (doneCount == cfg.numCores) {
-        doneTime = queues[0]->now();
+        doneTime = eq.now();
         for (auto &core : cores) {
             core->halt();
         }
@@ -760,18 +701,21 @@ System::onCoreDone(std::uint32_t)
 void
 System::runSingle()
 {
-    EventQueue &eq = *queues[0];
-    // The sampler is polled (one comparison) rather than event-driven:
+    // Samplers are polled (one comparison each) rather than event-driven:
     // scheduling sampling events would keep the queue alive and perturb
     // same-cycle FIFO ordering, breaking run/no-run identity.
-    telemetry::StatSampler *sampler =
-        !telems.empty() && telems[0] ? telems[0]->sampler() : nullptr;
+    std::vector<telemetry::StatSampler *> samplers;
+    if constexpr (telemetry::kEnabled) {
+        for (auto &t : telems) {
+            if (t && t->sampler()) {
+                samplers.push_back(t->sampler());
+            }
+        }
+    }
     const std::uint64_t prof_begin = profiler ? prof::nowNs() : 0;
     while (eq.step()) {
-        if constexpr (telemetry::kEnabled) {
-            if (sampler) {
-                sampler->poll(eq.now());
-            }
+        for (telemetry::StatSampler *sampler : samplers) {
+            sampler->poll(eq.now());
         }
         if (eq.now() > cfg.maxCycles) {
             fatal("simulation exceeded %llu cycles: likely deadlock",
@@ -779,124 +723,10 @@ System::runSingle()
         }
     }
     if (profiler) {
-        // The whole run is one "epoch" of shard 0: all work, no stall.
-        profiler->recordEpoch(0, prof::nowNs() - prof_begin,
-                              eq.dispatched());
+        profiler->recordWork(prof::nowNs() - prof_begin, eq.dispatched());
     }
     panic_if(doneCount != cfg.numCores,
              "event queue drained before all cores finished");
-}
-
-void
-System::runShardEpoch(std::uint32_t part, Cycle limit)
-{
-    EventQueue &q = *queues[part];
-    telemetry::StatSampler *sampler = nullptr;
-    if constexpr (telemetry::kEnabled) {
-        if (part < telems.size() && telems[part]) {
-            sampler = telems[part]->sampler();
-        }
-    }
-    while (q.pending() != 0 && q.nextTime() <= limit) {
-        q.step();
-        if constexpr (telemetry::kEnabled) {
-            if (sampler) {
-                sampler->poll(q.now());
-            }
-        }
-    }
-    // Advance the shard's clock to the barrier even if it went idle
-    // early, so next epoch's deliveries can never be in its past.
-    q.runUntil(limit);
-}
-
-void
-System::runSharded()
-{
-    const std::uint32_t P = topo.partitions;
-    const Cycle W = topo.hopLatency;
-
-    // Per-epoch profiling scratch: each shard's epoch wall time.
-    std::vector<std::uint64_t> work_ns(profiler ? P : 0, 0);
-    std::vector<std::uint64_t> dispatchedBase(profiler ? P : 0, 0);
-
-    // Conservative time-window loop. Epoch k runs every shard in turn
-    // over [epochBase, epochBase+W); messages they send deliver >= one
-    // full window later (send time + hop, hop == W), so nothing one
-    // shard does this epoch can affect another until after the
-    // barrier. See common/shard.hh.
-    Cycle epoch_base = 0;
-    for (;;) {
-        fatal_if(epoch_base > cfg.maxCycles,
-                 "simulation exceeded %llu cycles: likely deadlock",
-                 static_cast<unsigned long long>(cfg.maxCycles));
-        const Cycle limit = epoch_base + W - 1;
-        const std::uint64_t iter_begin = profiler ? prof::nowNs() : 0;
-        for (std::uint32_t p = 0; p < P; ++p) {
-            if (profiler) {
-                const std::uint64_t b = prof::nowNs();
-                runShardEpoch(p, limit);
-                work_ns[p] = prof::nowNs() - b;
-            } else {
-                runShardEpoch(p, limit);
-            }
-        }
-        if (profiler) {
-            const std::uint64_t d0 = prof::nowNs();
-            fab->deliverAll(queuePtrs);
-            profiler->addFabricDrain(prof::nowNs() - d0);
-        } else {
-            fab->deliverAll(queuePtrs);
-        }
-
-        // Barrier-time milestone processing, so the cross-shard stat
-        // snapshot and the halt land at a deterministic epoch boundary.
-        if (!warmSnapshotTaken && warmedCount == cfg.numCores) {
-            statSet.snapshotAll();
-            warmTime = limit + 1;
-            warmSnapshotTaken = true;
-        }
-        if (!haltIssued && doneCount == cfg.numCores) {
-            doneTime = limit + 1;
-            for (auto &core : cores) {
-                core->halt();
-            }
-            haltIssued = true;
-        }
-
-        if (profiler) {
-            // Work is each shard's measured epoch span; stall is the
-            // rest of the iteration (the other shards' epochs, fabric
-            // drain, milestones), so work + stall sums to the engine's
-            // wall time per shard by measurement.
-            const std::uint64_t iter_end = prof::nowNs();
-            for (std::uint32_t p = 0; p < P; ++p) {
-                const std::uint64_t work = work_ns[p];
-                const std::uint64_t disp = queuePtrs[p]->dispatched();
-                profiler->recordEpoch(p, work,
-                                      disp - dispatchedBase[p]);
-                dispatchedBase[p] = disp;
-                const std::uint64_t span = iter_end - iter_begin;
-                profiler->recordStall(p, span > work ? span - work : 0);
-            }
-        }
-
-        Cycle min_next = kCycleMax;
-        for (const EventQueue *q : queuePtrs) {
-            min_next = std::min(min_next, q->nextTime());
-        }
-        if (min_next == kCycleMax) {
-            break;  // every queue drained and no messages in flight
-        }
-        epoch_base += W;
-        if (min_next >= epoch_base + W) {
-            // Dead air: no shard has an event this epoch, so jump to
-            // the window containing the globally earliest one.
-            epoch_base = min_next - (min_next % W);
-        }
-    }
-    panic_if(!haltIssued,
-             "event queues drained before all cores finished");
 }
 
 SimResult
@@ -943,7 +773,7 @@ System::assembleResult()
                 telems[p]->setTotal("dram.drains",
                                     chans[p]->statDrains.value());
             }
-            telems[p]->finish(queues[p]->now());
+            telems[p]->finish(eq.now());
             std::string prefix =
                 topo.sharded() ? "s" + std::to_string(p) + "." : "";
             for (const auto &[key, value] :
@@ -1024,11 +854,7 @@ System::run()
     for (auto &core : cores) {
         core->start();
     }
-    if (topo.sharded()) {
-        runSharded();
-    } else {
-        runSingle();
-    }
+    runSingle();
     if (profiler) {
         profiler->endRun();
     }

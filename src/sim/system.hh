@@ -6,11 +6,11 @@
  * system statistics the paper's figures are made of.
  *
  * Machines come in two shapes. The paper's Table 1 machine (the
- * default) has one monolithic LLC and one DRAM channel and runs on a
- * single EventQueue exactly as before. Scaled-up machines
- * (llcSlices/dram.channels > 1) are partitioned into shards — each
- * owning an EventQueue, an LLC slice with its own policy tuple, and a
- * DRAM channel — and executed epoch by epoch on one host thread; see
+ * default) has one monolithic LLC and one DRAM channel. Scaled-up
+ * machines (llcSlices/dram.channels > 1) are partitioned into shards,
+ * each owning an LLC slice with its own policy tuple and a DRAM
+ * channel, and cross-shard traffic pays a fabric hop. Both run on one
+ * EventQueue, where the hop is an ordinary scheduled delay; see
  * common/shard.hh and sim/topology.hh for the scheme.
  */
 
@@ -80,7 +80,7 @@ struct SystemConfig
 
     /**
      * Cross-shard hop latency in cycles (NUCA remote-slice / remote-
-     * channel penalty), which is also the epoch-barrier lookahead.
+     * channel penalty), paid each way by a message between shards.
      * 0 derives: 64 on sliced machines, none on unsharded ones.
      * Part of the simulated machine: changes stats.
      * DRAM channels are configured via `dram.channels` (0 = one per
@@ -89,9 +89,10 @@ struct SystemConfig
     Cycle shardHopLatency = 0;
 
     /**
-     * Accepts only 0 or 1: sliced machines run on one host thread, and
-     * any other value is fatal. Kept only because the host-speed
-     * benchmark sets it; goes with the next benchmark change.
+     * Accepts only 0 or 1: every machine runs on one queue and one
+     * host thread, and any other value is fatal. Kept only because the
+     * host-speed benchmark sets it, and the benchmark changes only in a
+     * change of its own; goes with the next one.
      */
     std::uint32_t numShards = 0;
 
@@ -158,15 +159,14 @@ struct SystemConfig
      * configured with -DDBSIM_TELEMETRY=OFF draws a warning and is
      * ignored. Observation is strictly passive: a run with telemetry on
      * is cycle- and stat-identical to the same run without. On sharded
-     * runs each shard writes its own ".s<k>"-suffixed streams.
+     * machines each shard writes its own ".s<k>"-suffixed streams.
      */
     telemetry::TelemetryConfig telemetry;
 
     /**
-     * Host-side profiling (src/telemetry/profiler.hh): attribute wall
-     * time per shard to event dispatch by component vs. fabric drain
-     * vs. epoch-barrier stall, plus per-epoch occupancy counters.
-     * Surfaced as SimResult::hostProfile. Purely an observer of *host*
+     * Host-side profiling (src/telemetry/profiler.hh): attribute the
+     * run's wall time to event dispatch by component vs. the event
+     * kernel itself. Surfaced as SimResult::hostProfile. Purely an observer of *host*
      * time: simulated state and statistics are bit-identical with it
      * on or off. Requesting it in a build configured with
      * -DDBSIM_TELEMETRY=OFF draws a warning and is ignored.
@@ -224,8 +224,8 @@ struct SimResult
     std::map<std::string, double> metadata;
 
     /**
-     * Host-profiler attribution ("runMs", "fabricDrainMs", "shards",
-     * "s<k>.workMs" / "s<k>.stallMs" / "s<k>.comp.<name>.ms", ...)
+     * Host-profiler attribution ("runMs", "shards", "s0.workMs",
+     * "s0.comp.<name>.ms", ...)
      * when the run was profiled (SystemConfig::profile); empty
      * otherwise. Host wall-clock derived, therefore NON-deterministic —
      * never fold into cached or golden-compared data (the JSONL layer
@@ -244,8 +244,8 @@ class HostProfiler;
 
 /**
  * One simulated machine: cores + private caches + sliced shared LLC
- * (mechanism variant) + DRAM channels, partitioned into shards each
- * driving its own event queue.
+ * (mechanism variant) + DRAM channels, partitioned into shards that
+ * share one event queue.
  *
  * Compatibility façade: on the default single-shard machine llc(),
  * dram(), dbi(), auditor() and telemetry() mean what they always did;
@@ -310,12 +310,15 @@ class System
                                       : dcacheAuditors.at(s).get();
     }
 
-    /** The cross-shard mailbox (nullptr on single-shard machines). */
+    /** The machine's one event queue; every shard schedules into it. */
+    EventQueue &eventQueue() { return eq; }
+
+    /** The cross-shard fabric (nullptr on single-shard machines). */
     const ShardFabric *fabric() const { return fab.get(); }
 
     /**
-     * Events the simulation kernel has dispatched so far, summed over
-     * every shard's queue — the denominator of the host-performance
+     * Events the simulation kernel has dispatched so far — the
+     * denominator of the host-performance
      * metrics (events/sec, ns/event) bench/host_perf.cpp reports.
      * Deterministic: identical configs dispatch identical event counts.
      */
@@ -359,14 +362,8 @@ class System
     void onCoreDone(std::uint32_t core_id);
     void setupTelemetry(std::uint32_t part);
 
-    /** Legacy engine: the whole machine on one queue, one thread. */
+    /** The engine: dispatch the machine's one queue until it drains. */
     void runSingle();
-
-    /** Epoch-barrier engine for partitioned machines. */
-    void runSharded();
-
-    /** Run shard `part`'s events up to and including `limit`. */
-    void runShardEpoch(std::uint32_t part, Cycle limit);
 
     SimResult assembleResult();
 
@@ -374,8 +371,7 @@ class System
     WorkloadMix workload;
     ShardTopology topo;
 
-    std::vector<std::unique_ptr<EventQueue>> queues;  ///< per shard
-    std::vector<EventQueue *> queuePtrs;
+    EventQueue eq;                                    ///< every shard's
     std::unique_ptr<ShardFabric> fab;                 ///< sharded only
     std::vector<std::unique_ptr<DramController>> chans;
     // Backing chain declared bottom-up: each level holds a reference to
@@ -401,10 +397,6 @@ class System
     std::uint32_t doneCount = 0;
     Cycle warmTime = 0;
     Cycle doneTime = 0;
-
-    /** Epoch-engine milestones already acted on at a barrier. */
-    bool warmSnapshotTaken = false;
-    bool haltIssued = false;
 };
 
 /** Convenience: build and run in one call. */

@@ -49,7 +49,7 @@ resolveTopology(const TopologySpec &spec)
     t.partitions = std::max(t.slices, t.channels);
 
     // Hop latency: the NUCA cross-slice / cross-channel interconnect
-    // hop, which doubles as the epoch lookahead. Unsharded machines
+    // hop, a delay on every cross-shard message. Unsharded machines
     // have no hop at all (everything is a direct call).
     t.hopLatency =
         spec.hopLatency ? spec.hopLatency : (t.sharded() ? 64 : 0);
@@ -84,7 +84,7 @@ resolveTopology(const TopologySpec &spec)
                  static_cast<unsigned long long>(spec.rowBytes));
     }
     fatal_if(t.sharded() && t.hopLatency < 1,
-             "a sliced machine needs hopLatency >= 1 (the epoch window)");
+             "a sliced machine needs hopLatency >= 1");
     fatal_if(!t.sharded() && spec.hopLatency != 0,
              "hopLatency is set but the machine has one slice and one "
              "channel; nothing ever crosses a shard boundary");

@@ -5,7 +5,8 @@
  * the SystemConfig sharding knobs is derived and validated. The
  * partitioning is part of the machine: changing it changes timing and
  * statistics, exactly like changing the cache size would. All
- * partitions run on one host thread (see System::runSharded).
+ * partitions share one EventQueue on one host thread, and a message
+ * between partitions pays hopLatency (see common/shard.hh).
  *
  * One shard (partition) p owns LLC slice p (for p < slices), DRAM
  * channel p (for p < channels), and the cores {c : c % partitions == p}.
@@ -51,11 +52,11 @@ struct ShardTopology
     std::uint32_t slices = 1;
     std::uint32_t channels = 1;
     std::uint32_t partitions = 1;  ///< max(slices, channels)
-    Cycle hopLatency = 0;          ///< cross-shard latency == epoch window
+    Cycle hopLatency = 0;          ///< cross-shard message latency
     /**
-     * Host threads running the epochs: always 1. Kept only because the
-     * host-speed benchmark prints it; goes with the next benchmark
-     * change.
+     * Host threads running the machine: always 1. Kept only because the
+     * host-speed benchmark prints it, and the benchmark changes only in
+     * a change of its own; goes with the next one.
      */
     std::uint32_t workers = 1;
     std::uint64_t rowBytes = 8192;

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "common/logging.hh"
-
 namespace dbsim::telemetry {
 
 namespace {
@@ -23,18 +21,6 @@ get(const std::map<std::string, double> &m, const std::string &key)
 
 } // namespace
 
-HostProfiler::HostProfiler(std::uint32_t num_shards)
-    : numShards_(num_shards), lanes(num_shards)
-{
-    fatal_if(num_shards < 1, "profiler needs at least one shard");
-}
-
-prof::QueueProfile *
-HostProfiler::queueProfile(std::uint32_t s)
-{
-    return &lanes.at(s).qp;
-}
-
 void
 HostProfiler::beginRun()
 {
@@ -47,111 +33,52 @@ HostProfiler::endRun()
     runNs = prof::nowNs() - runStartNs;
 }
 
-void
-HostProfiler::recordEpoch(std::uint32_t s, std::uint64_t work_ns,
-                          std::uint64_t events)
-{
-    Lane &lane = lanes.at(s);
-    lane.workNs += work_ns;
-    ++lane.epochs;
-    if (events == 0) {
-        ++lane.idleEpochs;
-    }
-    lane.events += events;
-    lane.eventsPerEpoch.record(events);
-}
-
-void
-HostProfiler::recordStall(std::uint32_t s, std::uint64_t stall_ns)
-{
-    lanes.at(s).stallNs += stall_ns;
-}
-
-void
-HostProfiler::addFabricDrain(std::uint64_t ns)
-{
-    fabricDrainNs += ns;
-}
-
 std::map<std::string, double>
 HostProfiler::metrics() const
 {
     std::map<std::string, double> out;
     out["runMs"] = ms(runNs);
-    out["fabricDrainMs"] = ms(fabricDrainNs);
-    out["shards"] = static_cast<double>(numShards_);
-    for (std::uint32_t s = 0; s < numShards_; ++s) {
-        const Lane &lane = lanes[s];
-        const std::string p = "s" + std::to_string(s) + ".";
-        out[p + "workMs"] = ms(lane.workNs);
-        out[p + "stallMs"] = ms(lane.stallNs);
-        out[p + "epochs"] = static_cast<double>(lane.epochs);
-        out[p + "idleEpochs"] = static_cast<double>(lane.idleEpochs);
-        out[p + "events"] = static_cast<double>(lane.events);
-        if (!lane.eventsPerEpoch.empty()) {
-            out[p + "evPerEpoch.p50"] =
-                static_cast<double>(lane.eventsPerEpoch.percentile(50));
-            out[p + "evPerEpoch.p95"] =
-                static_cast<double>(lane.eventsPerEpoch.percentile(95));
-            out[p + "evPerEpoch.max"] =
-                static_cast<double>(lane.eventsPerEpoch.max());
+    out["shards"] = 1.0;
+    out["s0.workMs"] = ms(workNs);
+    out["s0.events"] = static_cast<double>(numEvents);
+    std::uint64_t dispatchNs = 0;
+    for (std::size_t c = 0; c < prof::kNumComps; ++c) {
+        dispatchNs += qp.ns[c];
+        if (qp.events[c] == 0) {
+            continue;
         }
-        std::uint64_t dispatchNs = 0;
-        for (std::size_t c = 0; c < prof::kNumComps; ++c) {
-            dispatchNs += lane.qp.ns[c];
-            if (lane.qp.events[c] == 0) {
-                continue;
-            }
-            const std::string cp =
-                p + "comp." + prof::compName(c) + ".";
-            out[cp + "ms"] = ms(lane.qp.ns[c]);
-            out[cp + "events"] =
-                static_cast<double>(lane.qp.events[c]);
-        }
-        out[p + "dispatchMs"] = ms(dispatchNs);
+        const std::string cp = std::string("s0.comp.") + prof::compName(c);
+        out[cp + ".ms"] = ms(qp.ns[c]);
+        out[cp + ".events"] = static_cast<double>(qp.events[c]);
     }
+    out["s0.dispatchMs"] = ms(dispatchNs);
     return out;
 }
 
 std::string
 HostProfiler::formatTable(const std::map<std::string, double> &m)
 {
-    const auto shards = static_cast<std::uint32_t>(get(m, "shards"));
     std::string out;
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "host profile: run %.3f ms, fabric drain %.3f ms, "
-                  "%u shard%s\n",
-                  get(m, "runMs"), get(m, "fabricDrainMs"), shards,
-                  shards == 1 ? "" : "s");
+                  "host profile: run %.3f ms, work %.3f ms, %.0f events, "
+                  "dispatch %.3f ms\n",
+                  get(m, "runMs"), get(m, "s0.workMs"), get(m, "s0.events"),
+                  get(m, "s0.dispatchMs"));
     out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  %-6s %10s %10s %12s %8s %12s  %s\n", "shard",
-                  "work ms", "stall ms", "events", "epochs",
-                  "ev/ep p95", "dispatch by comp (ms)");
-    out += buf;
-    for (std::uint32_t s = 0; s < shards; ++s) {
-        const std::string p = "s" + std::to_string(s) + ".";
-        std::string comps;
-        for (std::size_t c = 0; c < prof::kNumComps; ++c) {
-            const std::string key =
-                p + "comp." + prof::compName(c) + ".ms";
-            auto it = m.find(key);
-            if (it == m.end()) {
-                continue;
-            }
-            char cb[64];
-            std::snprintf(cb, sizeof(cb), "%s%s %.3f",
-                          comps.empty() ? "" : "  ",
-                          prof::compName(c), it->second);
-            comps += cb;
+    std::string comps;
+    for (std::size_t c = 0; c < prof::kNumComps; ++c) {
+        auto it = m.find(std::string("s0.comp.") + prof::compName(c) +
+                         ".ms");
+        if (it == m.end()) {
+            continue;
         }
-        std::snprintf(buf, sizeof(buf),
-                      "  s%-5u %10.3f %10.3f %12.0f %8.0f %12.0f  %s\n",
-                      s, get(m, p + "workMs"), get(m, p + "stallMs"),
-                      get(m, p + "events"), get(m, p + "epochs"),
-                      get(m, p + "evPerEpoch.p95"), comps.c_str());
-        out += buf;
+        std::snprintf(buf, sizeof(buf), "  %s %.3f", prof::compName(c),
+                      it->second);
+        comps += buf;
+    }
+    if (!comps.empty()) {
+        out += "  dispatch by comp (ms):" + comps + "\n";
     }
     return out;
 }

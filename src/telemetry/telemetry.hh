@@ -85,9 +85,8 @@ struct TelemetryConfig
 
     /**
      * Copy with ".s<shard>" spliced into the output file names: on
-     * sharded runs every shard writes its own time-series/trace stream
-     * (merged logically at epoch barriers by construction — a shard's
-     * samples are final when its epoch ends).
+     * sharded runs every shard writes its own time-series/trace
+     * stream.
      */
     TelemetryConfig withShardSuffix(std::uint32_t shard) const;
 };

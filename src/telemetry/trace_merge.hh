@@ -11,8 +11,8 @@
  * per line joined by ",\n", then a `],"otherData":{...}` footer), so a
  * line-oriented text transform is exact. Event timestamps need no
  * sorting — the trace-event format does not require time order, and
- * each shard's stream is already monotonic per track by epoch
- * construction.
+ * each shard's stream is already monotonic per track, because every
+ * shard runs on the machine's one queue.
  */
 
 #ifndef DBSIM_TELEMETRY_TRACE_MERGE_HH

@@ -33,7 +33,11 @@ SyntheticTrace::SyntheticTrace(const BenchProfile &profile,
     fatal_if(prof.streamBytes < 2 * kRowBytes *
              (prof.readStreamRows + prof.writeStreamRows),
              "stream region too small for the active-row windows");
-    meanGap = (1.0 - prof.memFrac) / prof.memFrac;
+    // Uniform jitter around the mean gap keeps memory intensity right
+    // without periodic artifacts. Round, not truncate: (1-f)/f is often
+    // representable just below the intended integer.
+    const double mean_gap = (1.0 - prof.memFrac) / prof.memFrac;
+    gapSpan = static_cast<std::uint64_t>(std::llround(2.0 * mean_gap)) + 1;
     initStream(readStream, prof.readStreamRows ? prof.readStreamRows : 1);
     initStream(writeStream,
                prof.writeStreamRows ? prof.writeStreamRows : 1);
@@ -98,12 +102,7 @@ TraceOp
 SyntheticTrace::next()
 {
     TraceOp op;
-    // Uniform jitter around the mean gap keeps memory intensity right
-    // without periodic artifacts. Round, not truncate: (1-f)/f is often
-    // representable just below the intended integer.
-    std::uint64_t span =
-        static_cast<std::uint64_t>(std::llround(2.0 * meanGap)) + 1;
-    op.gap = static_cast<std::uint32_t>(rng.below(span));
+    op.gap = static_cast<std::uint32_t>(rng.below(gapSpan));
     op.isWrite = rng.chance(prof.writeFrac);
     op.dependent = !op.isWrite && rng.chance(prof.depFrac);
     op.addr = pickAddr(op.isWrite ? prof.writeMix : prof.readMix,

@@ -78,7 +78,8 @@ class SyntheticTrace : public TraceSource
     static constexpr std::uint64_t kRowBytes = 8192;
     static constexpr std::uint32_t kBlocksPerRow = 128;
 
-    double meanGap;
+    /** Gaps are uniform in [0, gapSpan): mean (1 - memFrac) / memFrac. */
+    std::uint64_t gapSpan;
 };
 
 } // namespace dbsim

@@ -1,10 +1,9 @@
 /**
  * @file
- * ShardFabric unit tests: delivery timing (always send time + hop, so a
- * message lands strictly after the epoch it was sent in), deterministic
- * total ordering of same-cycle messages regardless of which lane they
- * arrived on, and a randomized no-message-loss property whose failures
- * are ddmin-shrunk to a minimal reproducing message set.
+ * ShardFabric unit tests: a message is an ordinary event on the one
+ * queue at send time + hop, same-cycle messages keep send order, and a
+ * randomized no-message-loss property whose failures are ddmin-shrunk
+ * to a minimal reproducing message set.
  */
 
 #include <gtest/gtest.h>
@@ -22,29 +21,20 @@
 namespace dbsim {
 namespace {
 
-/** N queues + a fabric, with the epoch plumbing tests drive by hand. */
+/** The machine's one queue plus a fabric over `n` shards. */
 struct Mesh
 {
-    explicit Mesh(std::uint32_t n, Cycle hop) : fab(n, hop)
-    {
-        for (std::uint32_t i = 0; i < n; ++i) {
-            queues.push_back(std::make_unique<EventQueue>());
-            ptrs.push_back(queues.back().get());
-        }
-    }
+    Mesh(std::uint32_t n, Cycle hop) : fab(n, hop, q) {}
 
-    /** One conservative epoch: run every queue to `limit`, then flush. */
+    /** Run `fn` as an event at cycle `at` (a shard acting then). */
+    template <typename F>
     void
-    epoch(Cycle limit)
+    at(Cycle when, F fn)
     {
-        for (EventQueue *q : ptrs) {
-            q->runUntil(limit);
-        }
-        fab.deliverAll(ptrs);
+        q.schedule(when, std::move(fn));
     }
 
-    std::vector<std::unique_ptr<EventQueue>> queues;
-    std::vector<EventQueue *> ptrs;
+    EventQueue q;
     ShardFabric fab;
 };
 
@@ -53,64 +43,29 @@ TEST(ShardFabric, DeliversAtSendTimePlusHop)
     Mesh mesh(2, 10);
     Cycle delivered = 0;
     mesh.fab.send(0, 1, 5, [&](Cycle at) { delivered = at; });
-    EXPECT_EQ(mesh.fab.inFlight(), 1u);
+    EXPECT_EQ(mesh.fab.statMessages.value(), 0u);  // counted on delivery
+    EXPECT_EQ(mesh.q.pending(), 1u);
 
-    mesh.epoch(9);  // epoch [0, 10): the send happened inside it
-    EXPECT_EQ(mesh.fab.inFlight(), 0u);
-    mesh.epoch(19);
+    mesh.q.runAll();
     EXPECT_EQ(delivered, 15u);
-    EXPECT_EQ(mesh.queues[1]->now(), 19u);
+    EXPECT_EQ(mesh.q.now(), 15u);
     EXPECT_EQ(mesh.fab.statMessages.value(), 1u);
 }
 
-TEST(ShardFabric, DeliveryIsNeverInsideTheSendingEpoch)
+TEST(ShardFabric, SameCycleMessagesDeliverInSendOrder)
 {
-    // The conservative-window contract: with hop == W, a message sent
-    // at any t in [B, B+W) delivers at t+W in [B+W, B+2W) — strictly
-    // after the barrier, so no destination can have advanced past it.
-    const Cycle W = 8;
-    Mesh mesh(3, W);
-    std::vector<Cycle> deliveries;
-    for (Cycle base = 0; base < 5 * W; base += W) {
-        const Cycle limit = base + W - 1;
-        for (Cycle t = base; t <= limit; t += 3) {
-            mesh.fab.send(0, 2, t, [&, base](Cycle at) {
-                deliveries.push_back(at);
-                EXPECT_GE(at, base + W) << "delivered in its own epoch";
-            });
-        }
-        mesh.epoch(limit);
-    }
-    mesh.epoch(6 * W - 1);
-    EXPECT_EQ(deliveries.size(), 15u);
-    EXPECT_TRUE(std::is_sorted(deliveries.begin(), deliveries.end()));
-}
-
-TEST(ShardFabric, SameCycleMessagesOrderBySeqThenSourceLane)
-{
-    // Three sources hit shard 3 at the same delivery cycle. The merged
-    // order must be a pure function of (deliverAt, per-lane seq, src) —
-    // the lanes were filled in an arbitrary host order, but the result
-    // interleaves round-robin by sequence number with source id
-    // breaking ties, matching the documented total order.
+    // Three sources hit shard 3 at the same delivery cycle: the queue's
+    // FIFO order of one cycle is the order the sends happened in.
     Mesh mesh(4, 4);
-    std::vector<std::string> order;
-    auto tag = [&](std::string label) {
-        return [&order, label = std::move(label)](Cycle) {
-            order.push_back(label);
-        };
-    };
-    // Fill lanes deliberately out of source order.
-    mesh.fab.send(2, 3, 0, tag("c0"));
-    mesh.fab.send(2, 3, 0, tag("c1"));
-    mesh.fab.send(0, 3, 0, tag("a0"));
-    mesh.fab.send(1, 3, 0, tag("b0"));
-    mesh.fab.send(0, 3, 0, tag("a1"));
-
-    mesh.epoch(3);
-    mesh.epoch(7);
-    EXPECT_EQ(order, (std::vector<std::string>{"a0", "b0", "c0", "a1",
-                                               "c1"}));
+    std::vector<int> order;
+    const std::uint32_t srcs[] = {2, 2, 0, 1, 0};
+    for (int i = 0; i < 5; ++i) {
+        mesh.fab.send(srcs[i], 3, 0, [&order, i](Cycle) {
+            order.push_back(i);
+        });
+    }
+    mesh.q.runAll();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ShardFabric, LaterSendCycleAlwaysDeliversLater)
@@ -119,8 +74,7 @@ TEST(ShardFabric, LaterSendCycleAlwaysDeliversLater)
     std::vector<int> order;
     mesh.fab.send(0, 1, 9, [&](Cycle) { order.push_back(2); });
     mesh.fab.send(1, 1, 3, [&](Cycle) { order.push_back(1); });
-    mesh.epoch(15);
-    mesh.epoch(31);
+    mesh.q.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -130,39 +84,36 @@ struct Msg
 {
     std::uint32_t src;
     std::uint32_t dst;
-    Cycle sendAt;  ///< relative to the start of the epoch that sends it
-    std::uint32_t epoch;
+    Cycle sendAt;  ///< offset within the hop-long window that sends it
+    std::uint32_t window;
 };
 
+Cycle
+sendCycle(const Msg &m, Cycle hop)
+{
+    return static_cast<Cycle>(m.window) * hop + m.sendAt % hop;
+}
+
 /**
- * Replay `msgs` through a 4-shard mesh, one conservative epoch at a
- * time, and report how many were delivered. Correct fabrics deliver
- * every message exactly once, at sendAt + hop.
+ * Replay `msgs` through a 4-shard mesh, each send made by an event at
+ * its send cycle, and report how many were delivered. A correct fabric
+ * delivers every message exactly once, at sendAt + hop.
  */
 std::size_t
 deliveredCount(const std::vector<Msg> &msgs, Cycle hop)
 {
     Mesh mesh(4, hop);
     std::size_t delivered = 0;
-    std::uint32_t lastEpoch = 0;
     for (const Msg &m : msgs) {
-        lastEpoch = std::max(lastEpoch, m.epoch);
+        mesh.at(sendCycle(m, hop), [&mesh, &delivered, &m, hop] {
+            const Cycle at = mesh.q.now();
+            mesh.fab.send(m.src, m.dst, at, [&delivered, at, hop](Cycle when) {
+                ++delivered;
+                EXPECT_EQ(when, at + hop);
+            });
+        });
     }
-    for (std::uint32_t e = 0; e <= lastEpoch + 2; ++e) {
-        const Cycle base = static_cast<Cycle>(e) * hop;
-        for (const Msg &m : msgs) {
-            if (m.epoch == e) {
-                Cycle at = base + (m.sendAt % hop);
-                mesh.fab.send(m.src, m.dst, at,
-                              [&delivered, at, hop](Cycle when) {
-                                  ++delivered;
-                                  EXPECT_EQ(when, at + hop);
-                              });
-            }
-        }
-        mesh.epoch(base + hop - 1);
-    }
-    EXPECT_EQ(mesh.fab.inFlight(), 0u);
+    mesh.q.runAll();
     return delivered;
 }
 
@@ -207,7 +158,7 @@ TEST(ShardFabric, NoMessageLossUnderRandomTraffic)
             m.src = static_cast<std::uint32_t>(rng.below(4));
             m.dst = static_cast<std::uint32_t>(rng.below(4));
             m.sendAt = rng.below(hop);
-            m.epoch = static_cast<std::uint32_t>(rng.below(12));
+            m.window = static_cast<std::uint32_t>(rng.below(12));
             msgs.push_back(m);
         }
         std::size_t got = deliveredCount(msgs, hop);
@@ -216,8 +167,8 @@ TEST(ShardFabric, NoMessageLossUnderRandomTraffic)
             std::string repro;
             for (const Msg &m : minimal) {
                 repro += "  {" + std::to_string(m.src) + " -> " +
-                         std::to_string(m.dst) + ", epoch " +
-                         std::to_string(m.epoch) + ", +"+
+                         std::to_string(m.dst) + ", window " +
+                         std::to_string(m.window) + ", +" +
                          std::to_string(m.sendAt) + "}\n";
             }
             FAIL() << "lost " << (msgs.size() - got) << "/"
@@ -240,10 +191,15 @@ struct CollectObserver : FlowObserver
         Cycle sendAt, deliverAt;
         std::string kind;
     };
+    explicit CollectObserver(const EventQueue &queue) : q(queue) {}
+
+    const EventQueue &q;
     std::map<std::uint64_t, Flow> sent;
     std::map<std::uint64_t, Flow> delivered;
     std::uint64_t duplicateSends = 0;
     std::uint64_t duplicateDeliveries = 0;
+    std::uint64_t deliveriesOffCycle = 0;
+    std::uint32_t armed = 0;  ///< onDeliver calls not yet handled
 
     void
     onSend(std::uint32_t src, std::uint32_t dst, Cycle send_time,
@@ -261,6 +217,11 @@ struct CollectObserver : FlowObserver
     onDeliver(std::uint32_t src, std::uint32_t dst, Cycle deliver_time,
               std::uint64_t flow_id, const char *kind) override
     {
+        // Fired in the delivery event itself, not at some later point.
+        if (deliver_time != q.now()) {
+            ++deliveriesOffCycle;
+        }
+        ++armed;
         if (!delivered
                  .emplace(flow_id,
                           Flow{src, dst, deliver_time, deliver_time,
@@ -273,8 +234,9 @@ struct CollectObserver : FlowObserver
 
 TEST(ShardFabric, FlowObserverSeesEveryMessageExactlyOnce)
 {
+    // Every send gets exactly one onDeliver, at send + hop, in the
+    // event that runs the message's handler (just before it).
     const Cycle hop = 16;
-    CollectObserver obs;
     Rng rng(0xF10);
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         std::vector<Msg> msgs;
@@ -283,45 +245,43 @@ TEST(ShardFabric, FlowObserverSeesEveryMessageExactlyOnce)
             m.src = static_cast<std::uint32_t>(rng.below(4));
             m.dst = static_cast<std::uint32_t>(rng.below(4));
             m.sendAt = rng.below(hop);
-            m.epoch = static_cast<std::uint32_t>(rng.below(10));
+            m.window = static_cast<std::uint32_t>(rng.below(10));
             msgs.push_back(m);
         }
 
         Mesh mesh(4, hop);
+        CollectObserver obs(mesh.q);
         mesh.fab.attachFlowObserver(&obs);
-        obs = CollectObserver{};
-        std::size_t deliveredCbs = 0;
-        std::uint32_t lastEpoch = 0;
+        std::size_t handlers = 0;
+        std::size_t unpaired = 0;  ///< handlers not right after onDeliver
         for (const Msg &m : msgs) {
-            lastEpoch = std::max(lastEpoch, m.epoch);
+            mesh.at(sendCycle(m, hop), [&, pm = &m] {
+                mesh.fab.send(pm->src, pm->dst, mesh.q.now(),
+                              [&obs, &handlers, &unpaired](Cycle) {
+                                  ++handlers;
+                                  unpaired += obs.armed != 1;
+                                  obs.armed = 0;
+                              },
+                              "test");
+            });
         }
-        for (std::uint32_t e = 0; e <= lastEpoch + 2; ++e) {
-            const Cycle base = static_cast<Cycle>(e) * hop;
-            for (const Msg &m : msgs) {
-                if (m.epoch == e) {
-                    mesh.fab.send(m.src, m.dst, base + (m.sendAt % hop),
-                                  [&deliveredCbs](Cycle) {
-                                      ++deliveredCbs;
-                                  },
-                                  "test");
-                }
-            }
-            mesh.epoch(base + hop - 1);
-        }
+        mesh.q.runAll();
+        EXPECT_EQ(unpaired, 0u);
 
-        // Every message begun exactly one flow and bound exactly one.
         EXPECT_EQ(obs.duplicateSends, 0u);
         EXPECT_EQ(obs.duplicateDeliveries, 0u);
+        EXPECT_EQ(obs.deliveriesOffCycle, 0u);
         EXPECT_EQ(obs.sent.size(), msgs.size());
-        EXPECT_EQ(obs.delivered.size(), deliveredCbs);
-        ASSERT_EQ(deliveredCbs, msgs.size());
+        EXPECT_EQ(obs.delivered.size(), handlers);
+        ASSERT_EQ(handlers, msgs.size());
+        EXPECT_EQ(mesh.fab.statMessages.value(), msgs.size());
 
         for (const auto &[id, send] : obs.sent) {
             auto it = obs.delivered.find(id);
             ASSERT_NE(it, obs.delivered.end())
                 << "flow " << id << " begun but never bound";
-            // deliverAll recovers src from the id alone; it must agree
-            // with what the sender reported, as must everything else.
+            // Delivery recovers src and dst from the id alone; they
+            // must agree with what the sender reported.
             EXPECT_EQ(it->second.src, send.src);
             EXPECT_EQ(it->second.dst, send.dst);
             EXPECT_EQ(it->second.deliverAt, send.deliverAt);
@@ -334,7 +294,7 @@ TEST(ShardFabric, FlowObserverSeesEveryMessageExactlyOnce)
 TEST(ShardFabric, FlowIdsEncodeSourceAndDestination)
 {
     Mesh mesh(4, 8);
-    CollectObserver obs;
+    CollectObserver obs(mesh.q);
     mesh.fab.attachFlowObserver(&obs);
     for (std::uint32_t src = 0; src < 4; ++src) {
         for (std::uint32_t dst = 0; dst < 4; ++dst) {
@@ -346,20 +306,18 @@ TEST(ShardFabric, FlowIdsEncodeSourceAndDestination)
         EXPECT_EQ((id / 4) % 4, f.src) << "id " << id;
         EXPECT_EQ(id % 4, f.dst) << "id " << id;
     }
-    mesh.epoch(7);
-    mesh.epoch(15);
+    mesh.q.runAll();
     EXPECT_EQ(obs.delivered.size(), 16u);
 }
 
 TEST(ShardFabric, SingleShardHopStillDelaysSelfMessages)
 {
     // A 1-shard fabric is degenerate but legal: self-sends still pay
-    // the hop, so epoch maths stay uniform.
+    // the hop.
     Mesh mesh(1, 32);
     Cycle delivered = 0;
     mesh.fab.send(0, 0, 7, [&](Cycle at) { delivered = at; });
-    mesh.epoch(31);
-    mesh.epoch(63);
+    mesh.q.runAll();
     EXPECT_EQ(delivered, 39u);
 }
 

@@ -13,6 +13,7 @@
 #define DBSIM_TESTS_SIM_GOLDEN_RUN_HH
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,7 @@ goldenLabel(const GoldenRun &g)
  * dual-core unsliced machines, then sliced machines (every preset on 4
  * slices x 4 channels, asymmetric slice/channel counts, short and long
  * fabric hops, both DRAM-cache dirty-tracking modes, and a sampled
- * run), which pin the epoch engine's fabric delivery order.
+ * run), which pin the fabric's hop timing and delivery order.
  */
 inline const std::vector<GoldenRun> &
 goldenRuns()
@@ -185,6 +186,34 @@ goldenSerialize(const std::string &label, const WorkloadMix &mix,
         out += buf;
     }
     return out;
+}
+
+/**
+ * Split a snapshot into per-run blocks keyed by the "run <label> |
+ * <mix>" header line (header included in the block, so a comparison
+ * failure prints which run it is).
+ */
+inline std::map<std::string, std::string>
+goldenBlocks(const std::string &all)
+{
+    std::map<std::string, std::string> blocks;
+    std::string key;
+    std::size_t pos = 0;
+    while (pos < all.size()) {
+        std::size_t eol = all.find('\n', pos);
+        if (eol == std::string::npos) {
+            eol = all.size();
+        }
+        const std::string line = all.substr(pos, eol - pos);
+        if (line.rfind("run ", 0) == 0) {
+            key = line;
+            blocks[key] = line + "\n";
+        } else if (!key.empty() && !line.empty()) {
+            blocks[key] += line + "\n";
+        }
+        pos = eol + 1;
+    }
+    return blocks;
 }
 
 } // namespace dbsim::golden

@@ -6,7 +6,8 @@
  * reproduce the frozen stats snapshot in tests/sim/mechanism_golden.inc
  * bit for bit — IPCs and derived metrics at %.17g (round-trip exact for
  * doubles), every registered counter at full width. Regenerate the snapshot only for an
- * intentional behavior change, via the gen_mechanism_golden tool.
+ * intentional behavior change, via the gen_mechanism_golden tool, which
+ * refuses to rewrite it while an unsliced run differs.
  */
 
 #include <gtest/gtest.h>
@@ -21,35 +22,6 @@
 namespace dbsim {
 namespace {
 
-/**
- * Split the snapshot into per-run blocks keyed by the "run <label> |
- * <mix>" header line (header included in the block, so a comparison
- * failure prints which run it is).
- */
-std::map<std::string, std::string>
-goldenBlocks()
-{
-    std::map<std::string, std::string> blocks;
-    const std::string all(kMechanismGolden);
-    std::string key;
-    std::size_t pos = 0;
-    while (pos < all.size()) {
-        std::size_t eol = all.find('\n', pos);
-        if (eol == std::string::npos) {
-            eol = all.size();
-        }
-        const std::string line = all.substr(pos, eol - pos);
-        if (line.rfind("run ", 0) == 0) {
-            key = line;
-            blocks[key] = line + "\n";
-        } else if (!key.empty() && !line.empty()) {
-            blocks[key] += line + "\n";
-        }
-        pos = eol + 1;
-    }
-    return blocks;
-}
-
 class MechanismGolden : public testing::TestWithParam<std::size_t>
 {};
 
@@ -62,7 +34,7 @@ TEST_P(MechanismGolden, PresetReproducesSnapshotExactly)
 
     const std::string key = "run " + label + " | " + mixLabel(g.mix);
     static const std::map<std::string, std::string> blocks =
-        goldenBlocks();
+        golden::goldenBlocks(kMechanismGolden);
     auto it = blocks.find(key);
     ASSERT_NE(it, blocks.end()) << "no golden block for " << key;
     EXPECT_EQ(got, it->second);
@@ -91,7 +63,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(MechanismGolden, SnapshotCoversEveryPresetAndMix)
 {
-    const auto blocks = goldenBlocks();
+    const auto blocks = golden::goldenBlocks(kMechanismGolden);
     EXPECT_EQ(blocks.size(), golden::goldenRuns().size());
     for (const golden::GoldenRun &g : golden::goldenRuns()) {
         const std::string key =

@@ -1,12 +1,13 @@
 /**
  * @file
- * Sliced-machine determinism: the epoch engine (common/shard.hh) must
+ * Sliced-machine determinism: a sliced machine on its one queue, with
+ * the fabric hop as a scheduled delay (common/shard.hh), must
  * reproduce a run bit for bit — every counter, every per-core IPC,
  * every derived metric — and the fabric hop must act as a real
  * simulated latency. The results themselves are pinned by the sliced
  * runs of the mechanism golden suite (sim/golden_run.hh).
  *
- * Each partitioned machine runs its epochs on one host thread; the
+ * Each partitioned machine runs on one queue and one host thread; the
  * host parallelism left is sweep-level (`--jobs`), several Systems at
  * once on different threads. The thread-count tests hold that to the
  * same law: a sliced run on a thread of its own and the same run next
@@ -129,7 +130,7 @@ TEST(ShardIdentity, EveryPresetIsThreadCountInvariant)
 
 TEST(ShardIdentity, ShardedRunsAreDeterministicAcrossRepeats)
 {
-    // Same config, two runs: the epoch engine must be deterministic
+    // Same config, two runs: the sliced machine must be deterministic
     // against itself, event count included.
     SystemConfig cfg = slicedConfig(Mechanism::DbiAwb);
     const WorkloadMix mix = {"mcf", "lbm", "mcf", "lbm"};
@@ -143,8 +144,7 @@ TEST(ShardIdentity, HopLatencyChangesStatsButNotIdentity)
 {
     // The hop is part of the simulated machine: varying it must change
     // results (it's a real latency), while each value stays repeatable
-    // — including the minimum W=1, where the epoch engine degenerates
-    // to near-lockstep.
+    // — including the minimum hop of one cycle.
     SystemConfig cfg = slicedConfig(Mechanism::TaDip);
     const WorkloadMix mix = {"stream", "stream", "stream", "stream"};
     cfg.shardHopLatency = 64;
